@@ -102,6 +102,16 @@ struct FlowSpec {
   bool empty() const { return tasks.empty(); }
 };
 
+// The idempotency-key contract validate() checks, in two halves. A task's
+// declared key is the static prefix "flow:task"; at run time keyed()
+// appends the flow parameters (the scan id), so a retried or resubmitted
+// run of the same (flow, scan) pair skips the tasks that already
+// succeeded for *that* scan only.
+TaskSpec task_spec(const std::string& flow, const std::string& name,
+                   std::vector<std::string> deps, bool uses_transfer,
+                   bool uses_hpc);
+TaskOptions keyed(const FlowContext& ctx, const std::string& task);
+
 // One rejected property of a flow graph. `task` names the offending task
 // ("" for flow-level issues); `rule` is the machine-readable rejection:
 //   duplicate-task | unknown-dependency | dependency-cycle |

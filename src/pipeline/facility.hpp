@@ -5,8 +5,8 @@
 //   Orchestration— FlowEngine + RunDatabase with the production flows
 //                  (new_file_832 plus one route-table recon flow per
 //                  facility: nersc, alcf, cloud) and scheduled pruning
-//                  flows; a FederatedScheduler places Scheduled scans
-//                  across the routes dynamically
+//                  flows; a FederatedScheduler places every reconstructing
+//                  scan on the routes under FacilityConfig::placement
 //   Movement     — Globus TransferService over ESnet links; streaming via
 //                  the PVA mirror + ZeroMQ return path
 //   Compute      — Perlmutter (Slurm + SFAPI, realtime QOS) and Polaris
@@ -15,8 +15,10 @@
 //   Access       — SciCat metadata catalogue (+ TiledService at library
 //                  level for real-pixel runs)
 //
-// process_scan() drives one acquisition through every enabled branch and
-// returns when all branches finish; benches call it at production cadence.
+// process_scan() drives one acquisition through streaming and the
+// scheduler's placement and returns when both finish; benches call it at
+// production cadence. The default placement, "static_dual", is the paper's:
+// every scan reconstructs at both NERSC and ALCF.
 #pragma once
 
 #include <map>
@@ -76,35 +78,31 @@ struct FacilityConfig {
   bool fail_early = true;
 
   hpc::ComputeModel compute;
-};
 
-// How the facility routes a scan's reconstruction:
-//   StaticDual — the paper's production configuration: run the enabled
-//                branches (NERSC and/or ALCF) unconditionally.
-//   Scheduled  — hand the scan to the FederatedScheduler, which places it
-//                at whichever registered facility the policy predicts is
-//                fastest right now (with failover if that site goes dark).
-enum class PlacementMode { StaticDual, Scheduled };
+  // Placement policy for every reconstructing scan (sched::make_policy):
+  // "static_dual" (the paper's dual branch) | "round_robin" | "greedy" |
+  // "hedged". An unknown name throws std::invalid_argument.
+  std::string placement = "static_dual";
+};
 
 struct ScanOptions {
   bool streaming = false;
-  bool run_nersc = true;
-  bool run_alcf = true;
-  // Archive raw + reconstruction to HPSS tape after the NERSC branch
+  // Hand the scan to the scheduler for reconstruction; false runs
+  // acquisition, new_file_832 and streaming only.
+  bool reconstruct = true;
+  // Archive raw + reconstruction to HPSS tape once an attempt at NERSC
   // completes (Section 4.2.3: long-term archival through Slurm/SFAPI).
   bool archive = true;
-  PlacementMode placement = PlacementMode::StaticDual;
-  // Completion deadline for Scheduled scans (<= 0: none); deadline scans
-  // are hedge-eligible under a hedging policy.
+  // Completion deadline (<= 0: none); deadline scans are hedge-eligible
+  // under a hedging policy.
   Seconds deadline = 0.0;
 };
 
 struct ScanOutcome {
   data::ScanMetadata scan;
   Status new_file_status = Status::success();
-  std::optional<flow::FlowRunResult> nersc;
-  std::optional<flow::FlowRunResult> alcf;
-  std::optional<sched::ScanResult> sched;  // Scheduled placement outcome
+  // The placement and every recon attempt (unset when !reconstruct).
+  std::optional<sched::ScanResult> sched;
   std::optional<StreamingReport> streaming;
   Seconds started_at = 0.0;
   Seconds finished_at = 0.0;
@@ -153,7 +151,8 @@ class Facility {
   void start_pruning(Seconds period = hours(12));
 
   // Drive one scan end to end: acquisition -> file write -> new_file_832
-  // -> enabled branches. Resolves when every branch completes.
+  // -> scheduler placement. Resolves when the placement (and the streaming
+  // preview, if requested) finishes.
   // (Wrapper over the coroutine impl: see flow/engine.hpp on GCC 12.)
   sim::Future<ScanOutcome> process_scan(data::ScanMetadata scan,
                                         ScanOptions options) {
@@ -220,6 +219,8 @@ class Facility {
   }
 
   FacilityConfig config_;
+  // First, so an unknown placement name throws before anything is built.
+  std::unique_ptr<sched::PlacementPolicy> placement_policy_;
   sim::Engine eng_;
   Rng rng_;
 
@@ -270,9 +271,8 @@ class Facility {
   Bytes raw_bytes_ingested_ = 0;
   std::vector<ScanOutcome> outcomes_;
 
-  // Federated scheduling (appended after the legacy members: none of
-  // these schedule simulation events at construction, so default
-  // StaticDual campaigns remain byte-identical to the pre-sched world).
+  // Federated scheduling (none of these schedule simulation events at
+  // construction).
   storage::StorageEndpoint cloud_s3_;
   net::Link esnet_cloud_;
   hpc::CloudBurstAdapter cloud_;
@@ -280,7 +280,6 @@ class Facility {
   ReconRoute alcf_route_;
   ReconRoute cloud_route_;
   sched::FacilityDirectory directory_;
-  sched::GreedyPolicy placement_policy_;
   sched::FederatedScheduler scheduler_;
 };
 

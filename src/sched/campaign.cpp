@@ -7,28 +7,10 @@
 
 namespace alsflow::sched {
 
+using flow::keyed;
+using flow::task_spec;
+
 namespace {
-
-// Scan-scoped idempotency key (same contract as the pipeline flows): a
-// failover resubmission of the same (flow, scan) pair skips stages the
-// stalled run already completed.
-flow::TaskOptions keyed(const flow::FlowContext& ctx, const char* task) {
-  flow::TaskOptions o;
-  o.idempotency_key = ctx.flow_name + ":" + task + ":" + ctx.parameters;
-  return o;
-}
-
-flow::TaskSpec task_spec(const std::string& flow, const std::string& name,
-                         std::vector<std::string> deps, bool uses_transfer,
-                         bool uses_hpc) {
-  flow::TaskSpec t;
-  t.name = name;
-  t.depends_on = std::move(deps);
-  t.uses_transfer = uses_transfer;
-  t.uses_hpc = uses_hpc;
-  t.idempotency_key = flow + ":" + name;
-  return t;
-}
 
 // Order-sensitive FNV-1a (the campaign determinism fingerprint).
 void fnv_mix(std::uint64_t* h, const void* data, std::size_t nbytes) {
@@ -78,9 +60,7 @@ FleetWorld::FleetWorld(FleetCampaignConfig config)
     add_route("cloud", &cloud_, &esnet_cloud_, 16.0);
   }
 
-  const std::string shard_policy =
-      config_.policy == "static_dual" ? "round_robin" : config_.policy;
-  fleet_ = std::make_unique<Fleet>(eng_, directory_, shard_policy,
+  fleet_ = std::make_unique<Fleet>(eng_, directory_, config_.policy,
                                    config_.scheduler);
   for (int b = 0; b < config_.beamlines; ++b) {
     char name[16];
@@ -165,25 +145,6 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
                                     keyed(ctx, "stage_back"));
 }
 
-sim::Future<ScanResult> FleetWorld::static_dual_scan(Fleet::Shard* shard,
-                                                     ScanRequest scan) {
-  ScanResult res;
-  res.scan_id = scan.scan_id;
-  res.submitted_at = eng_.now();
-  res.reason = "static_dual";
-  // The paper's dual-branch configuration: every scan reconstructs at
-  // both DOE facilities, unconditionally.
-  auto nersc_fut = shard->flows->run_flow("recon_nersc", scan.scan_id);
-  auto alcf_fut = shard->flows->run_flow("recon_alcf", scan.scan_id);
-  const flow::FlowRunResult nersc_res = co_await nersc_fut;
-  const flow::FlowRunResult alcf_res = co_await alcf_fut;
-  res.completed = nersc_res.state == flow::RunState::Completed &&
-                  alcf_res.state == flow::RunState::Completed;
-  res.facility = "dual";
-  res.finished_at = eng_.now();
-  co_return res;
-}
-
 ScanRequest FleetWorld::make_scan(Rng* rng, const std::string& beamline,
                                   int index) {
   // Production-mix volume shapes, heavy enough that facility capacity —
@@ -205,7 +166,6 @@ ScanRequest FleetWorld::make_scan(Rng* rng, const std::string& beamline,
 
 FleetCampaignReport FleetWorld::run() {
   Rng rng(config_.seed);
-  const bool dual = config_.policy == "static_dual";
   std::vector<std::shared_ptr<sim::SharedState<ScanResult>>> results;
   results.reserve(std::size_t(config_.beamlines) *
                   std::size_t(config_.scans_per_beamline));
@@ -214,7 +174,6 @@ FleetCampaignReport FleetWorld::run() {
     char name[16];
     std::snprintf(name, sizeof name, "bl-%02d", b + 1);
     const std::string beamline = name;
-    Fleet::Shard* shard = fleet_->shard(beamline);
     // Phase-offset the shards so the fleet's aggregate arrivals are smooth.
     const Seconds offset = config_.scan_interval * double(b) /
                            double(std::max(1, config_.beamlines));
@@ -222,15 +181,9 @@ FleetCampaignReport FleetWorld::run() {
       ScanRequest scan = make_scan(&rng, beamline, i);
       scans_[scan.scan_id] = scan;
       const Seconds at = offset + config_.scan_interval * double(i);
-      if (dual) {
-        eng_.schedule_at(at, [this, shard, scan, &results] {
-          results.push_back(static_dual_scan(shard, scan).state());
-        });
-      } else {
-        eng_.schedule_at(at, [this, beamline, scan, &results] {
-          results.push_back(fleet_->submit(beamline, scan).state());
-        });
-      }
+      eng_.schedule_at(at, [this, beamline, scan, &results] {
+        results.push_back(fleet_->submit(beamline, scan).state());
+      });
     }
   }
 
@@ -266,14 +219,9 @@ FleetCampaignReport FleetWorld::run() {
     std::sort(turnarounds.begin(), turnarounds.end());
     rep.turnaround_p99 = percentile_sorted(turnarounds, 0.99);
   }
-  if (dual) {
-    rep.placements["nersc"] = rep.offered;
-    rep.placements["alcf"] = rep.offered;
-  } else {
-    rep.placements = fleet_->placements();
-    rep.failovers = fleet_->failovers();
-    rep.hedges = fleet_->hedges_launched();
-  }
+  rep.placements = fleet_->placements();
+  rep.failovers = fleet_->failovers();
+  rep.hedges = fleet_->hedges_launched();
   return rep;
 }
 

@@ -11,10 +11,11 @@
 // -> stage products back), parameterized by scan id, with idempotency keys
 // so failover resubmission skips completed stages.
 //
-// The "static_dual" policy is the paper's baseline: every scan runs the
-// NERSC *and* ALCF branches to completion (no decision, double the work) —
-// the configuration the federated scheduler is benchmarked against in
-// BENCH_sched_campaign.json.
+// Every scan goes through its shard's FederatedScheduler under the
+// configured policy, the paper's baseline included: "static_dual" runs the
+// NERSC *and* ALCF flows to completion as one join-all placement (no
+// decision, double the work) — the configuration the dynamic policies are
+// benchmarked against in BENCH_sched_campaign.json.
 #pragma once
 
 #include <cstdint>
@@ -118,10 +119,6 @@ class FleetWorld {
   sim::Future<Status> recon_flow(flow::FlowContext ctx, const Route* route);
   void register_shard_flows(const std::string& beamline,
                             flow::FlowEngine& flows);
-
-  // Baseline: run the NERSC and ALCF flows to completion for one scan.
-  sim::Future<ScanResult> static_dual_scan(Fleet::Shard* shard,
-                                           ScanRequest scan);
 
   ScanRequest make_scan(Rng* rng, const std::string& beamline, int index);
 

@@ -16,11 +16,10 @@ Fleet::Shard& Fleet::add_shard(std::string beamline,
                                const FlowRegistrar& registrar) {
   assert(by_name_.count(beamline) == 0 && "beamline shard added twice");
   auto shard = std::make_unique<Shard>();
+  shard->policy = make_policy(policy_name_);  // throws on an unknown name
   shard->beamline = std::move(beamline);
   shard->db = std::make_unique<flow::RunDatabase>();
   shard->flows = std::make_unique<flow::FlowEngine>(eng_, *shard->db);
-  shard->policy = make_policy(policy_name_);
-  assert(shard->policy != nullptr && "unknown placement policy");
   shard->scheduler = std::make_unique<FederatedScheduler>(
       eng_, *shard->flows, dir_, *shard->policy, cfg_);
   if (registrar) registrar(shard->beamline, *shard->flows);

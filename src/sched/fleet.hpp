@@ -55,7 +55,7 @@ class Fleet {
         std::string policy_name, SchedulerConfig cfg = {});
 
   // Create a shard and register its flows. Aborts (assert) on duplicate
-  // beamline names or unknown policy names.
+  // beamline names; throws std::invalid_argument on an unknown policy name.
   Shard& add_shard(std::string beamline, const FlowRegistrar& registrar);
 
   Shard* shard(const std::string& beamline);

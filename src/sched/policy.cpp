@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 namespace alsflow::sched {
 
@@ -16,6 +17,23 @@ constexpr Seconds kSickTier = 1e12;
 constexpr Seconds kUnreachable = 1e15;
 
 }  // namespace
+
+Placement StaticDualPolicy::place(
+    const ScanRequest& scan, const std::vector<FacilityState>& facilities) {
+  (void)scan;
+  Placement p;
+  p.reason = "static_dual:";
+  for (const FacilityState& f : facilities) {
+    if (f.name != "nersc" && f.name != "alcf") continue;
+    if (p.primary.empty()) {
+      p.primary = f.name;
+    } else {
+      p.join.push_back(f.name);
+    }
+    p.reason += " " + f.name;
+  }
+  return p;
+}
 
 Placement RoundRobinPolicy::place(
     const ScanRequest& scan, const std::vector<FacilityState>& facilities) {
@@ -59,68 +77,56 @@ Seconds GreedyPolicy::predicted_turnaround(const ScanRequest& scan,
   return est / std::clamp(f.health, 0.05, 1.0);
 }
 
-Placement GreedyPolicy::place(const ScanRequest& scan,
-                              const std::vector<FacilityState>& facilities) {
-  int best = -1, runner_up = -1;
-  Seconds best_rank = 0.0, runner_rank = 0.0;
+GreedyPolicy::Ranking GreedyPolicy::rank(
+    const ScanRequest& scan,
+    const std::vector<FacilityState>& facilities) const {
+  Ranking r;
   for (std::size_t i = 0; i < facilities.size(); ++i) {
     const FacilityState& f = facilities[i];
     if (!f.available) continue;
     Seconds rank = predicted_turnaround(scan, f);
     if (f.health < cfg_.min_health) rank += kSickTier;
-    if (best < 0 || rank < best_rank) {
-      runner_up = best;
-      runner_rank = best_rank;
-      best = int(i);
-      best_rank = rank;
-    } else if (runner_up < 0 || rank < runner_rank) {
-      runner_up = int(i);
-      runner_rank = rank;
+    if (r.best < 0 || rank < r.best_rank) {
+      r.runner_up = r.best;
+      r.runner_rank = r.best_rank;
+      r.best = int(i);
+      r.best_rank = rank;
+    } else if (r.runner_up < 0 || rank < r.runner_rank) {
+      r.runner_up = int(i);
+      r.runner_rank = rank;
     }
   }
-  (void)runner_up;
-  (void)runner_rank;
+  return r;
+}
+
+Placement GreedyPolicy::place(const ScanRequest& scan,
+                              const std::vector<FacilityState>& facilities) {
+  const Ranking r = rank(scan, facilities);
   Placement p;
-  if (best < 0) return p;
-  p.primary = facilities[std::size_t(best)].name;
+  if (r.best < 0) return p;
+  p.primary = facilities[std::size_t(r.best)].name;
   char reason[128];
   std::snprintf(reason, sizeof reason, "greedy: %s predicted %.0fs",
-                p.primary.c_str(), double(best_rank));
+                p.primary.c_str(), double(r.best_rank));
   p.reason = reason;  // greedy places exactly one attempt, never a hedge
   return p;
 }
 
 Placement HedgedPolicy::place(const ScanRequest& scan,
                               const std::vector<FacilityState>& facilities) {
-  // Rank with the greedy cost model, keeping the runner-up this time.
-  int best = -1, runner_up = -1;
-  Seconds best_rank = 0.0, runner_rank = 0.0;
-  for (std::size_t i = 0; i < facilities.size(); ++i) {
-    const FacilityState& f = facilities[i];
-    if (!f.available) continue;
-    Seconds rank = greedy_.predicted_turnaround(scan, f);
-    if (f.health < cfg_.greedy.min_health) rank += kSickTier;
-    if (best < 0 || rank < best_rank) {
-      runner_up = best;
-      runner_rank = best_rank;
-      best = int(i);
-      best_rank = rank;
-    } else if (runner_up < 0 || rank < runner_rank) {
-      runner_up = int(i);
-      runner_rank = rank;
-    }
-  }
+  const GreedyPolicy::Ranking r = greedy_.rank(scan, facilities);
   Placement p;
-  if (best < 0) return p;
-  p.primary = facilities[std::size_t(best)].name;
+  if (r.best < 0) return p;
+  p.primary = facilities[std::size_t(r.best)].name;
   p.reason = "hedged: " + p.primary;
   // Only deadline scans pay for a backup, and only when a distinct
   // reachable site exists.
-  if (scan.deadline > 0.0 && runner_up >= 0 && runner_rank < kUnreachable) {
-    p.hedge = facilities[std::size_t(runner_up)].name;
-    Seconds delay = best_rank * cfg_.hedge_after_fraction;
+  if (scan.deadline > 0.0 && r.runner_up >= 0 &&
+      r.runner_rank < kUnreachable) {
+    p.hedge = facilities[std::size_t(r.runner_up)].name;
+    Seconds delay = r.best_rank * cfg_.hedge_after_fraction;
     // Leave the backup enough runway to beat the deadline.
-    const Seconds runway = scan.deadline - runner_rank;
+    const Seconds runway = scan.deadline - r.runner_rank;
     if (runway > 0.0) delay = std::min(delay, runway);
     p.hedge_delay = std::max(delay, cfg_.min_hedge_delay);
     p.reason += " hedge " + p.hedge;
@@ -129,10 +135,15 @@ Placement HedgedPolicy::place(const ScanRequest& scan,
 }
 
 std::unique_ptr<PlacementPolicy> make_policy(const std::string& name) {
-  if (name == "round_robin") return std::make_unique<RoundRobinPolicy>();
-  if (name == "greedy") return std::make_unique<GreedyPolicy>();
-  if (name == "hedged") return std::make_unique<HedgedPolicy>();
-  return nullptr;
+  std::unique_ptr<PlacementPolicy> shipped[] = {
+      std::make_unique<StaticDualPolicy>(),
+      std::make_unique<RoundRobinPolicy>(),
+      std::make_unique<GreedyPolicy>(),
+      std::make_unique<HedgedPolicy>()};
+  for (auto& policy : shipped) {
+    if (policy->name() == name) return std::move(policy);
+  }
+  throw std::invalid_argument("unknown placement policy: " + name);
 }
 
 }  // namespace alsflow::sched

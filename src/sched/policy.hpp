@@ -8,8 +8,10 @@
 // Policies may keep internal counters (round-robin's cursor) but may not
 // touch the world.
 //
-// Three shipped policies, mirroring the evaluation ladder in the paper's
+// Four shipped policies, mirroring the evaluation ladder in the paper's
 // federated-facilities companion work:
+//   StaticDualPolicy — the paper's production baseline: every scan runs
+//                      at NERSC *and* ALCF (no decision, double the work).
 //   RoundRobinPolicy — static baseline: rotate over available sites.
 //   GreedyPolicy     — lowest predicted turnaround: WAN transfer estimate
 //                      (raw out + products back over the live link rate)
@@ -45,6 +47,10 @@ struct ScanRequest {
 
 struct Placement {
   std::string primary;        // "" = nothing placeable right now
+  // Non-empty: a join-all placement. `primary` and these sites launch
+  // together; the scan resolves once every branch is terminal and
+  // completes only if all completed (no hedge, failover or re-placement).
+  std::vector<std::string> join;
   std::string hedge;          // optional backup facility
   Seconds hedge_delay = 0.0;  // launch the hedge this long after primary
   std::string reason;         // decision trace (tests + flight recorder)
@@ -56,6 +62,16 @@ class PlacementPolicy {
   virtual std::string name() const = 0;
   virtual Placement place(const ScanRequest& scan,
                           const std::vector<FacilityState>& facilities) = 0;
+};
+
+// Launch the nersc and then the alcf route, in snapshot order, as one
+// join-all placement. Availability is ignored: a dark adapter holds the
+// submission at its outage gate, as in production.
+class StaticDualPolicy : public PlacementPolicy {
+ public:
+  std::string name() const override { return "static_dual"; }
+  Placement place(const ScanRequest& scan,
+                  const std::vector<FacilityState>& facilities) override;
 };
 
 // Static baseline: rotate over the available facilities in snapshot
@@ -90,10 +106,21 @@ class GreedyPolicy : public PlacementPolicy {
   Placement place(const ScanRequest& scan,
                   const std::vector<FacilityState>& facilities) override;
 
-  // The cost model, exposed for tests and for HedgedPolicy: predicted
-  // submit-to-products-back seconds for `scan` at `f`.
+  // The cost model, exposed for tests: predicted submit-to-products-back
+  // seconds for `scan` at `f`.
   Seconds predicted_turnaround(const ScanRequest& scan,
                                const FacilityState& f) const;
+
+  // The best and runner-up available sites under the cost model, sick
+  // sites behind every healthy one (-1 where absent). HedgedPolicy uses it.
+  struct Ranking {
+    int best = -1;
+    int runner_up = -1;
+    Seconds best_rank = 0.0;
+    Seconds runner_rank = 0.0;
+  };
+  Ranking rank(const ScanRequest& scan,
+               const std::vector<FacilityState>& facilities) const;
 
  private:
   GreedyConfig cfg_;
@@ -122,9 +149,10 @@ class HedgedPolicy : public PlacementPolicy {
   GreedyPolicy greedy_;
 };
 
-// Factory for the shipped policies ("round_robin" | "greedy" | "hedged");
-// nullptr for unknown names. Fleet shards each get their own instance so
-// per-policy state (the round-robin cursor) stays shard-local.
+// Factory for the shipped policies ("static_dual" | "round_robin" |
+// "greedy" | "hedged"); throws std::invalid_argument for any other name.
+// Fleet shards each get their own instance so per-policy state (the
+// round-robin cursor) stays shard-local.
 std::unique_ptr<PlacementPolicy> make_policy(const std::string& name);
 
 }  // namespace alsflow::sched

@@ -92,6 +92,8 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
 
   std::set<std::string> tried;
   int launches = 0;
+  bool join_all = false;    // see Placement::join
+  bool branches_ok = true;  // join-all: every resolved branch completed
   bool hedge_armed = false;
   std::string pending_hedge;
   Seconds hedge_delay = 0.0;
@@ -130,6 +132,10 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
         ++failovers_;
         res.failed_over = true;
       }
+      join_all = !p.join.empty();
+      for (const std::string& facility : p.join) {
+        start(facility, /*is_hedge=*/false, /*is_failover=*/false);
+      }
       if (!p.hedge.empty() && scan.deadline > 0.0) {
         hedge_armed = true;
         pending_hedge = p.hedge;
@@ -156,8 +162,9 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
       // Failover: the primary has gone dark mid-run (outage = queue wait,
       // so no failure will ever arrive). Drain to the best *untried*
       // reachable site and keep racing the stalled attempt; resubmission
-      // is safe because facility flows carry idempotency keys.
-      if (launches >= cfg_.max_attempts) continue;  // budget gone: wait on
+      // is safe because facility flows carry idempotency keys. A join-all
+      // placement never fails over: every branch runs to its end.
+      if (join_all || launches >= cfg_.max_attempts) continue;
       auto snap = dir_.snapshot(eng_.now());
       std::vector<FacilityState> untried;
       for (auto& f : snap) {
@@ -182,21 +189,29 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
       continue;
     }
 
-    // An attempt resolved.
-    const flow::FlowRunResult& r = states[std::size_t(winner)]->value();
+    // An attempt resolved. Hold its state: erasing it from `states` below
+    // may drop the last other reference.
+    const RunState_ state = states[std::size_t(winner)];
+    const flow::FlowRunResult& r = state->value();
     AttemptRecord& a = res.attempts[attempt_of[std::size_t(winner)]];
     a.finished_at = eng_.now();
-    if (r.state == flow::RunState::Completed) {
-      a.result = "completed";
-      res.completed = true;
-      res.facility = a.facility;
-      res.flow_run_id = r.run_id;
-      break;
-    }
-    a.result = "failed:" + (r.status.ok() ? std::string("unknown")
-                                          : r.status.error().code);
+    const bool ok = r.state == flow::RunState::Completed;
+    a.result = ok ? std::string("completed")
+                  : "failed:" + (r.status.ok() ? std::string("unknown")
+                                               : r.status.error().code);
+    branches_ok = branches_ok && ok;
     states.erase(states.begin() + winner);
     attempt_of.erase(attempt_of.begin() + winner);
+    // Any-wins: the first completion resolves the scan; a failure PLACEs
+    // again once nothing is left racing. Join-all: resolve when the last
+    // branch is terminal, completed only if every branch completed.
+    if (join_all ? !states.empty() : !ok) continue;
+    res.completed = join_all ? branches_ok : ok;
+    if (res.completed) {
+      res.facility = a.facility;
+      res.flow_run_id = r.run_id;
+    }
+    break;
   }
 
   res.finished_at = eng_.now();

@@ -28,6 +28,11 @@
 //                            idempotency ledger, so a recovered duplicate
 //                            skips completed tasks).
 //
+// A join-all placement (static_dual) launches every branch at once and
+// takes the same loop with the races off: the scan resolves when the last
+// branch is terminal, completes only if every branch completed, and an
+// expired window does nothing — no hedge, failover or re-placement.
+//
 // A scan is lost only when the launch budget is exhausted and every
 // launched attempt has failed terminally — chaos scenarios must never
 // reach that state (the resilience suite pins zero lost scans).
@@ -80,7 +85,9 @@ struct AttemptRecord {
 struct ScanResult {
   std::string scan_id;
   bool completed = false;
-  std::string facility;  // winning facility ("" if lost)
+  // Winning facility; for join-all, the branch that finished last ("" if
+  // not completed).
+  std::string facility;
   std::string flow_run_id;
   bool hedged = false;
   bool failed_over = false;
@@ -99,8 +106,9 @@ class FederatedScheduler {
                      SchedulerConfig cfg = {});
 
   // Place and drive one scan to completion; resolves when some attempt's
-  // flow run completes (or the scan is abandoned as lost). Wrapper over
-  // the coroutine impl (see flow/engine.hpp on GCC 12).
+  // flow run completes — every branch's, for a join-all placement — or the
+  // scan is abandoned as lost. Wrapper over the coroutine impl (see
+  // flow/engine.hpp on GCC 12).
   sim::Future<ScanResult> submit(ScanRequest scan) {
     return submit_impl(std::move(scan));
   }

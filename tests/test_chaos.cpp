@@ -107,10 +107,14 @@ void expect_all_completed(const std::vector<ScanOutcome>& outcomes) {
   for (const auto& o : outcomes) {
     EXPECT_TRUE(o.new_file_status.ok())
         << o.scan.scan_id << ": " << o.new_file_status.error().code;
-    ASSERT_TRUE(o.nersc.has_value());
-    ASSERT_TRUE(o.alcf.has_value());
-    EXPECT_EQ(o.nersc->state, flow::RunState::Completed) << o.scan.scan_id;
-    EXPECT_EQ(o.alcf->state, flow::RunState::Completed) << o.scan.scan_id;
+    ASSERT_TRUE(o.sched.has_value());
+    std::set<std::string> sites;
+    for (const auto& a : o.sched->attempts) {
+      EXPECT_EQ(a.result, "completed") << o.scan.scan_id << " " << a.facility;
+      sites.insert(a.facility);
+    }
+    EXPECT_EQ(sites, (std::set<std::string>{"alcf", "nersc"}))
+        << o.scan.scan_id;
   }
 }
 

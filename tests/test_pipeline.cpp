@@ -26,6 +26,17 @@ data::ScanMetadata paper_scan(const std::string& id = "scan-0001") {
   return m;
 }
 
+// The recon attempt the scheduler launched at `facility` (nullptr if none).
+// The default static_dual placement launches exactly one per site.
+const sched::AttemptRecord* attempt_at(const ScanOutcome& out,
+                                       const std::string& facility) {
+  if (!out.sched) return nullptr;
+  for (const auto& a : out.sched->attempts) {
+    if (a.facility == facility) return &a;
+  }
+  return nullptr;
+}
+
 TEST(Facility, SingleScanAllBranches) {
   Facility facility;
   ScanOptions options;
@@ -36,11 +47,11 @@ TEST(Facility, SingleScanAllBranches) {
   const ScanOutcome& out = fut.value();
 
   EXPECT_TRUE(out.new_file_status.ok());
-  ASSERT_TRUE(out.nersc.has_value());
-  ASSERT_TRUE(out.alcf.has_value());
+  ASSERT_NE(attempt_at(out, "nersc"), nullptr);
+  ASSERT_NE(attempt_at(out, "alcf"), nullptr);
   ASSERT_TRUE(out.streaming.has_value());
-  EXPECT_EQ(out.nersc->state, flow::RunState::Completed);
-  EXPECT_EQ(out.alcf->state, flow::RunState::Completed);
+  EXPECT_EQ(attempt_at(out, "nersc")->result, "completed");
+  EXPECT_EQ(attempt_at(out, "alcf")->result, "completed");
   EXPECT_EQ(facility.scans_completed(), 1u);
 }
 
@@ -48,8 +59,7 @@ TEST(Facility, StreamingPreviewUnderTenSeconds) {
   Facility facility;
   ScanOptions options;
   options.streaming = true;
-  options.run_nersc = false;
-  options.run_alcf = false;
+  options.reconstruct = false;
   auto fut = facility.process_scan(paper_scan(), options);
   facility.engine().run();
   const auto& report = fut.value().streaming;
@@ -169,7 +179,7 @@ TEST(Facility, BackgroundLoadDelaysNerscNotAlcf) {
         loaded.process_scan(paper_scan("scan-l" + std::to_string(i)),
                             ScanOptions{});
     loaded.engine().run();
-    ASSERT_TRUE(fut.value().nersc.has_value());
+    ASSERT_NE(attempt_at(fut.value(), "nersc"), nullptr);
   }
   std::size_t realtime_jobs = 0;
   for (const auto& job : loaded.perlmutter().all_jobs()) {
@@ -205,8 +215,7 @@ TEST(Facility, ConcurrentStreamingScansAllDeliverPreviews) {
   Facility facility;
   ScanOptions options;
   options.streaming = true;
-  options.run_nersc = false;
-  options.run_alcf = false;
+  options.reconstruct = false;
   for (int i = 0; i < 8; ++i) {
     auto scan = paper_scan("scan-cc" + std::to_string(i));
     scan.n_angles = 1969 + std::size_t(i) * 37;  // odd remainders vs batch
@@ -245,10 +254,14 @@ TEST(Facility, CfsOutageFailsNerscBranchOnly) {
   auto fut = facility.process_scan(paper_scan("scan-outage"), ScanOptions{});
   facility.engine().run();
   const ScanOutcome& out = fut.value();
-  ASSERT_TRUE(out.nersc && out.alcf);
-  EXPECT_EQ(out.nersc->state, flow::RunState::Failed);
-  EXPECT_EQ(out.nersc->status.error().code, "permission_denied");
-  EXPECT_EQ(out.alcf->state, flow::RunState::Completed);
+  const sched::AttemptRecord* nersc = attempt_at(out, "nersc");
+  const sched::AttemptRecord* alcf = attempt_at(out, "alcf");
+  ASSERT_TRUE(nersc && alcf);
+  EXPECT_EQ(nersc->result, "failed:permission_denied");
+  EXPECT_EQ(alcf->result, "completed");
+  // Both branches ran to their end; the scan needed both.
+  EXPECT_EQ(out.sched->attempts.size(), 2u);
+  EXPECT_FALSE(out.sched->completed);
   EXPECT_TRUE(facility.beamline_data().exists("/recon/alcf/scan-outage.zarr"));
   EXPECT_FALSE(
       facility.beamline_data().exists("/recon/nersc/scan-outage.zarr"));
@@ -435,7 +448,6 @@ TEST(Facility, TaskIdempotencyKeysAreScanScoped) {
   // colliding with other scans: keys embed flow, task and scan id.
   Facility facility;
   ScanOptions options;
-  options.run_alcf = false;
   options.archive = false;
   auto fut = facility.process_scan(paper_scan("scan-keyed"), options);
   facility.engine().run();

@@ -1,11 +1,13 @@
 // Federated scheduler suite (DESIGN.md §17).
 //
-// Three layers, matching the subsystem's contracts:
+// Layers, matching the subsystem's contracts:
 //   policy units     — place() is a pure function of (scan, snapshot), so
 //                      each decision rule is pinned against hand-built
-//                      snapshots: rotation, cost-model ordering, blackout
-//                      unreachability, sick-site avoidance, deadline-only
-//                      hedging.
+//                      snapshots: the static dual branch, rotation,
+//                      cost-model ordering, blackout unreachability,
+//                      sick-site avoidance, deadline-only hedging.
+//   scheduler units  — a join-all placement waits for every branch and
+//                      never fails over, hedges or re-places.
 //   fleet campaigns  — a ≥1000-scan, 8-beamline campaign with dynamic
 //                      placement completes with zero lost scans; a
 //                      mid-campaign facility blackout still loses nothing
@@ -19,6 +21,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,12 +171,45 @@ TEST(HedgedPolicy, NoHedgeWithoutAReachableRunnerUp) {
   EXPECT_EQ(solo.hedge, "");
 }
 
-TEST(PolicyFactory, ShippedNamesResolveUnknownIsNull) {
-  EXPECT_NE(make_policy("round_robin"), nullptr);
-  EXPECT_NE(make_policy("greedy"), nullptr);
-  EXPECT_NE(make_policy("hedged"), nullptr);
-  EXPECT_EQ(make_policy("static_dual"), nullptr);  // not a dynamic policy
-  EXPECT_EQ(make_policy("oracle"), nullptr);
+TEST(StaticDualPolicy, LaunchesNerscThenAlcfIgnoringAvailability) {
+  StaticDualPolicy policy;
+  std::vector<FacilityState> snap = {make_state("nersc", 10, 100, 0, 8),
+                                     make_state("alcf", 10, 100, 0, 6),
+                                     make_state("cloud", 1, 1, 0, 16)};
+  snap[0].available = false;  // dark: the adapter holds the submission
+  Placement p = policy.place(small_request(3600.0), snap);
+  EXPECT_EQ(p.primary, "nersc");
+  EXPECT_EQ(p.join, std::vector<std::string>{"alcf"});
+  EXPECT_EQ(p.hedge, "");
+  EXPECT_EQ(p.reason, "static_dual: nersc alcf");
+}
+
+TEST(PolicyFactory, ShippedNamesResolveUnknownThrows) {
+  for (const char* name : {"static_dual", "round_robin", "greedy", "hedged"}) {
+    auto policy = make_policy(name);
+    ASSERT_NE(policy, nullptr) << name;
+    EXPECT_EQ(policy->name(), name);
+  }
+  EXPECT_THROW(make_policy("oracle"), std::invalid_argument);
+}
+
+TEST(PolicyFactory, UnknownPlacementNameThrowsInBothWorlds) {
+  // Release builds too: the name reaches make_policy from
+  // FleetCampaignConfig::policy and FacilityConfig::placement.
+  FleetCampaignConfig fleet_cfg;
+  fleet_cfg.beamlines = 1;
+  fleet_cfg.scans_per_beamline = 1;
+  fleet_cfg.policy = "oracle";
+  EXPECT_THROW({ FleetWorld world(fleet_cfg); }, std::invalid_argument);
+
+  pipeline::FacilityConfig fac_cfg;
+  fac_cfg.placement = "oracle";
+  try {
+    pipeline::Facility fac(fac_cfg);
+    ADD_FAILURE() << "unknown placement name accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown placement policy: oracle");
+  }
 }
 
 TEST(FacilityDirectory, InflightAccountingAndSnapshotOrder) {
@@ -215,7 +252,86 @@ TEST(FacilityDirectory, InflightAccountingAndSnapshotOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Facility integration: Scheduled placement mode
+// Join-all placement in the scheduler
+// ---------------------------------------------------------------------------
+
+// A recon branch that resolves `after` seconds in, completed or failed.
+sim::Future<Status> timed_branch(sim::Engine* eng, Seconds after,
+                                 bool fail) {
+  co_await sim::delay(*eng, after);
+  if (fail) co_return Error::make("boom", "branch failed");
+  co_return Status::success();
+}
+
+TEST(FederatedScheduler, JoinAllWaitsForEveryBranchWithoutFailover) {
+  sim::Engine eng;
+  flow::RunDatabase db;
+  flow::FlowEngine flows(eng, db);
+  hpc::CloudBurstAdapter nersc_adapter(eng, hpc::ComputeModel{});
+  hpc::CloudBurstAdapter alcf_adapter(eng, hpc::ComputeModel{});
+  hpc::CloudBurstAdapter cloud_adapter(eng, hpc::ComputeModel{});
+  FacilityDirectory dir;
+  for (auto [name, adapter] :
+       {std::pair{"nersc", &nersc_adapter}, std::pair{"alcf", &alcf_adapter},
+        std::pair{"cloud", &cloud_adapter}}) {
+    FacilityInfo info;
+    info.name = name;
+    info.flow_name = std::string("recon_") + name;
+    info.adapter = adapter;
+    dir.add(std::move(info));
+  }
+  // NERSC completes late; ALCF fails early; cloud must never launch.
+  flows.register_flow("recon_nersc", [&eng](flow::FlowContext) {
+    return timed_branch(&eng, 3000.0, false);
+  });
+  flows.register_flow("recon_alcf", [&eng](flow::FlowContext) {
+    return timed_branch(&eng, 1000.0, true);
+  });
+  flows.register_flow("recon_cloud", [&eng](flow::FlowContext) {
+    return timed_branch(&eng, 1.0, false);
+  });
+
+  StaticDualPolicy policy;
+  SchedulerConfig cfg;
+  cfg.failover_timeout = 600.0;  // expires several times per branch
+  FederatedScheduler scheduler(eng, flows, dir, policy, cfg);
+  auto fut = scheduler.submit(small_request(3600.0));
+
+  // The ALCF failure neither resolves the scan nor triggers a placement.
+  eng.run_until(2000.0);
+  EXPECT_FALSE(fut.done());
+  eng.run();
+  ASSERT_TRUE(fut.done());
+  const ScanResult& res = fut.value();
+
+  EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.facility, "");
+  ASSERT_EQ(res.attempts.size(), 2u);
+  EXPECT_EQ(res.attempts[0].facility, "nersc");
+  EXPECT_EQ(res.attempts[0].result, "completed");
+  EXPECT_DOUBLE_EQ(res.attempts[0].finished_at, 3000.0);
+  EXPECT_EQ(res.attempts[1].facility, "alcf");
+  EXPECT_EQ(res.attempts[1].result, "failed:boom");
+  EXPECT_DOUBLE_EQ(res.attempts[1].finished_at, 1000.0);
+  for (const auto& a : res.attempts) {
+    EXPECT_FALSE(a.failover) << a.facility;
+    EXPECT_FALSE(a.hedge) << a.facility;
+  }
+  // Resolved by the last branch, not the first.
+  EXPECT_DOUBLE_EQ(res.finished_at, 3000.0);
+  EXPECT_FALSE(res.failed_over);
+  EXPECT_FALSE(res.hedged);
+  EXPECT_EQ(scheduler.failovers(), 0u);
+  EXPECT_EQ(scheduler.hedges_launched(), 0u);
+  EXPECT_EQ(scheduler.placements(),
+            (std::map<std::string, std::size_t>{{"alcf", 1}, {"nersc", 1}}));
+  EXPECT_EQ(scheduler.scans_completed(), 0u);
+  EXPECT_EQ(scheduler.scans_lost(), 1u);
+  EXPECT_EQ(db.runs("recon_cloud").size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Facility integration: a dynamic placement policy
 // ---------------------------------------------------------------------------
 
 data::ScanMetadata facility_scan(const std::string& id) {
@@ -237,13 +353,13 @@ data::ScanMetadata facility_scan(const std::string& id) {
 TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
   pipeline::FacilityConfig cfg;
   cfg.seed = 42;
+  cfg.placement = "greedy";
   pipeline::Facility fac(cfg);
 
   std::vector<sim::Future<pipeline::ScanOutcome>> futs;
   pipeline::ScanOptions options;
   options.streaming = false;
   options.archive = false;
-  options.placement = pipeline::PlacementMode::Scheduled;
   for (int i = 0; i < 3; ++i) {
     fac.engine().schedule_at(double(i) * 180.0, [&fac, &futs, i, options] {
       futs.push_back(fac.process_scan(
@@ -256,10 +372,9 @@ TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
   for (auto& fut : futs) {
     ASSERT_TRUE(fut.done());
     const pipeline::ScanOutcome& out = fut.value();
-    // Scheduled mode routes through the scheduler, not the static branches.
-    EXPECT_FALSE(out.nersc.has_value());
-    EXPECT_FALSE(out.alcf.has_value());
+    // Greedy decides per scan instead of running both DOE branches.
     ASSERT_TRUE(out.sched.has_value());
+    EXPECT_EQ(out.sched->reason.rfind("greedy:", 0), 0u) << out.sched->reason;
     EXPECT_TRUE(out.sched->completed);
     EXPECT_TRUE(fac.directory().has(out.sched->facility));
     EXPECT_GT(out.sched->turnaround(), 0.0);
