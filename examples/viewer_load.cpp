@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "access/tiled.hpp"
@@ -29,6 +30,7 @@ using namespace alsflow;
 namespace {
 
 struct TenantOutcome {
+  explicit TenantOutcome(std::string tenant) : name(std::move(tenant)) {}
   std::string name;
   std::size_t served = 0;
   std::size_t failed = 0;

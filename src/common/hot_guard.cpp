@@ -136,11 +136,12 @@ void exit_impl() noexcept {
 #ifdef ALSFLOW_HOT_GUARD
 
 // Counting replacements for the global allocation functions. They forward
-// to malloc/free (so the sanitizers' malloc interceptors still see every
-// allocation) and report the requested size to the guard first. The
-// nothrow and sized/aligned delete forms all funnel through these four
-// entry points per the standard library's default implementations; the
-// aligned news are replaced explicitly because they do not.
+// to malloc/posix_memalign/free (so the sanitizers' malloc interceptors
+// still see every allocation) and report the requested size to the guard
+// first. Every form is replaced, nothrow ones included: a form left to the
+// runtime resolves to the sanitizer's own operator new under ASan, and its
+// memory then reaches our free-backed delete (alloc-dealloc-mismatch).
+// std::stable_sort, for one, takes its temporary buffer with nothrow new.
 namespace alsflow::hotguard {
 namespace {
 inline void hook(std::size_t bytes) noexcept { note_alloc(bytes); }
@@ -182,6 +183,34 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+// The nothrow forms are the throwing ones with bad_alloc turned into
+// nullptr, as the standard's default definitions specify.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size, align);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return ::operator new(size, align, std::nothrow);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -192,6 +221,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -24,7 +24,9 @@ std::string human_bytes(Bytes b) {
 std::string human_duration(Seconds s) {
   char buf[64];
   if (s < 0) {
-    return "-" + human_duration(-s);
+    std::string out = "-";
+    out += human_duration(-s);
+    return out;
   }
   if (s < 60.0) {
     std::snprintf(buf, sizeof buf, "%.1fs", s);

@@ -116,9 +116,8 @@ std::uint64_t Ah5File::byte_size() const {
 }
 
 std::vector<std::uint8_t> Ah5File::serialize() const {
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(kMagic, kMagic + 4);
   out.reserve(byte_size());
-  out.insert(out.end(), kMagic, kMagic + 4);
   put_u32(out, std::uint32_t(attrs_.size()));
   for (const auto& [k, v] : attrs_) {
     put_string(out, k);

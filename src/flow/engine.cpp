@@ -14,15 +14,18 @@ FlowEngine::FlowEngine(sim::Engine& sim, RunDatabase& db)
 
 void FlowEngine::register_flow(const std::string& name, FlowFn fn,
                                FlowOptions options) {
-  flows_[name] = Registration{std::move(fn), std::move(options)};
+  Registration reg;
+  reg.fn = std::move(fn);
+  reg.options = std::move(options);
+  flows_[name] = std::move(reg);
 }
 
 void FlowEngine::register_flow(const std::string& name, FlowFn fn,
                                FlowOptions options, FlowSpec spec) {
-  Registration reg{std::move(fn), std::move(options)};
+  register_flow(name, std::move(fn), std::move(options));
+  Registration& reg = flows_[name];
   reg.spec = std::move(spec);
   reg.has_spec = true;
-  flows_[name] = std::move(reg);
 }
 
 void FlowEngine::set_pool_limit(const std::string& pool, int limit) {

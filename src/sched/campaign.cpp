@@ -54,22 +54,16 @@ FleetWorld::FleetWorld(FleetCampaignConfig config)
   };
   add_route("nersc", &nersc_, &esnet_nersc_, double(config_.nersc_nodes));
   add_route("alcf", &alcf_, &esnet_alcf_, double(config_.alcf_workers));
-  if (config_.with_cloud) {
-    // Elastic, but slower per instance and behind a thinner path — the
-    // cost model should only burst here under pressure.
-    add_route("cloud", &cloud_, &esnet_cloud_, 16.0);
-  }
+  // Elastic, but slower per instance and behind a thinner path — the
+  // cost model should only burst here under pressure.
+  add_route("cloud", &cloud_, &esnet_cloud_, 16.0);
 
   fleet_ = std::make_unique<Fleet>(eng_, directory_, config_.policy,
                                    config_.scheduler);
   for (int b = 0; b < config_.beamlines; ++b) {
     char name[16];
     std::snprintf(name, sizeof name, "bl-%02d", b + 1);
-    fleet_->add_shard(name,
-                      [this](const std::string& beamline,
-                             flow::FlowEngine& flows) {
-                        register_shard_flows(beamline, flows);
-                      });
+    register_shard_flows(*fleet_->add_shard(name).flows);
   }
 
   chaos_.bind_link(&esnet_nersc_);
@@ -80,9 +74,7 @@ FleetWorld::FleetWorld(FleetCampaignConfig config)
   chaos_.bind_adapter(&cloud_);
 }
 
-void FleetWorld::register_shard_flows(const std::string& beamline,
-                                      flow::FlowEngine& flows) {
-  (void)beamline;
+void FleetWorld::register_shard_flows(flow::FlowEngine& flows) {
   // Orchestration itself must not be the bottleneck at fleet scale:
   // queueing belongs at the facilities (Slurm, pilot pool), not the pool.
   flows.set_pool_limit("fleet", 32);

@@ -53,7 +53,6 @@ struct FleetCampaignConfig {
   // Shared facility sizing.
   int nersc_nodes = 8;
   int alcf_workers = 6;
-  bool with_cloud = true;
   double esnet_nersc_gbps = 10.0;
   double esnet_alcf_gbps = 10.0;
   double esnet_cloud_gbps = 5.0;
@@ -117,8 +116,7 @@ class FleetWorld {
     net::Link* link = nullptr;
   };
   sim::Future<Status> recon_flow(flow::FlowContext ctx, const Route* route);
-  void register_shard_flows(const std::string& beamline,
-                            flow::FlowEngine& flows);
+  void register_shard_flows(flow::FlowEngine& flows);
 
   ScanRequest make_scan(Rng* rng, const std::string& beamline, int index);
 

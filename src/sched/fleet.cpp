@@ -12,8 +12,7 @@ Fleet::Fleet(sim::Engine& eng, FacilityDirectory& directory,
       policy_name_(std::move(policy_name)),
       cfg_(cfg) {}
 
-Fleet::Shard& Fleet::add_shard(std::string beamline,
-                               const FlowRegistrar& registrar) {
+Fleet::Shard& Fleet::add_shard(std::string beamline) {
   assert(by_name_.count(beamline) == 0 && "beamline shard added twice");
   auto shard = std::make_unique<Shard>();
   shard->policy = make_policy(policy_name_);  // throws on an unknown name
@@ -22,7 +21,6 @@ Fleet::Shard& Fleet::add_shard(std::string beamline,
   shard->flows = std::make_unique<flow::FlowEngine>(eng_, *shard->db);
   shard->scheduler = std::make_unique<FederatedScheduler>(
       eng_, *shard->flows, dir_, *shard->policy, cfg_);
-  if (registrar) registrar(shard->beamline, *shard->flows);
   shards_.push_back(std::move(shard));
   Shard& ref = *shards_.back();
   by_name_.emplace(ref.beamline, &ref);

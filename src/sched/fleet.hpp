@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,12 +29,6 @@
 #include "sim/engine.hpp"
 
 namespace alsflow::sched {
-
-// Registers a beamline shard's flows (and pools) on its private engine.
-// Called once per shard at add_shard time; `beamline` lets the registrar
-// parameterize flow behaviour per shard if it wants to.
-using FlowRegistrar =
-    std::function<void(const std::string& beamline, flow::FlowEngine&)>;
 
 class Fleet {
  public:
@@ -54,9 +47,10 @@ class Fleet {
   Fleet(sim::Engine& eng, FacilityDirectory& directory,
         std::string policy_name, SchedulerConfig cfg = {});
 
-  // Create a shard and register its flows. Aborts (assert) on duplicate
-  // beamline names; throws std::invalid_argument on an unknown policy name.
-  Shard& add_shard(std::string beamline, const FlowRegistrar& registrar);
+  // Create a shard; the caller registers its flows on `shard.flows`.
+  // Aborts (assert) on duplicate beamline names; throws
+  // std::invalid_argument on an unknown policy name.
+  Shard& add_shard(std::string beamline);
 
   Shard* shard(const std::string& beamline);
   const std::vector<std::unique_ptr<Shard>>& shards() const {

@@ -47,7 +47,7 @@ class SharedState {
 
   void set_value(T v) {
     assert(!ready() && "future resolved twice");
-    value_ = std::move(v);
+    value_.emplace(std::move(v));
     // Take the callback list first: a resumed waiter may register new
     // callbacks on other states or re-enter this one via ready().
     std::vector<std::pair<std::uint64_t, std::function<void()>>> cbs;

@@ -16,9 +16,12 @@
 // -DALSFLOW_HOT_GUARD=ON build run them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstring>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/hot_guard.hpp"
@@ -149,6 +152,53 @@ TEST_F(HotGuardTest, CountersObserveWithoutAbortingWhenNotEnforcing) {
   }
   EXPECT_GE(hotguard::hot_alloc_count(), count0 + 1);
   EXPECT_GE(hotguard::hot_alloc_bytes(), bytes0 + 128);
+}
+
+// Every global operator new form is hooked, the nothrow ones included: a
+// form left to the runtime would bypass the counters and, under ASan, pair
+// the sanitizer's own new with our free-backed delete.
+TEST_F(HotGuardTest, NothrowNewIsCounted) {
+  if (!hotguard::hooks_compiled()) {
+    GTEST_SKIP() << "counting hooks not compiled into this build";
+  }
+  const auto count0 = hotguard::hot_alloc_count();
+  const auto bytes0 = hotguard::hot_alloc_bytes();
+  {
+    hotguard::HotRegion region("test.nothrow");
+    std::unique_ptr<char[]> p(new (std::nothrow) char[96]);
+    ASSERT_NE(p, nullptr);
+    p[0] = 'x';
+  }
+  EXPECT_GE(hotguard::hot_alloc_count(), count0 + 1);
+  EXPECT_GE(hotguard::hot_alloc_bytes(), bytes0 + 96);
+}
+
+// std::stable_sort takes its temporary buffer with nothrow new and returns
+// it through operator delete (SlurmCluster::try_schedule sorts its queue
+// this way). Over enough elements to need that buffer it must sort stably
+// and, on the ASan leg, without an alloc-dealloc mismatch.
+TEST_F(HotGuardTest, StableSortTemporaryBufferRunsCleanly) {
+  std::vector<std::pair<int, int>> v(4096);
+  for (int i = 0; i < static_cast<int>(v.size()); ++i) {
+    v[static_cast<std::size_t>(i)] = {(i * 7919) % 97, i};
+  }
+  const auto count0 = hotguard::hot_alloc_count();
+  {
+    hotguard::HotRegion region("test.stable_sort");
+    std::stable_sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+  }
+  if (hotguard::hooks_compiled()) {
+    EXPECT_GE(hotguard::hot_alloc_count(), count0 + 1);
+  }
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    const auto& a = v[i - 1];
+    const auto& b = v[i];
+    ASSERT_TRUE(a.first < b.first ||
+                (a.first == b.first && a.second < b.second))
+        << "at " << i;
+  }
 }
 
 TEST_F(HotGuardTest, AllocInsideHotRegionAbortsWithWitness) {

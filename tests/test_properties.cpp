@@ -186,7 +186,8 @@ TEST_P(SlurmSweep, SchedulerInvariants) {
 
   for (int i = 0; i < 40; ++i) {
     hpc::JobSpec spec;
-    spec.name = "j" + std::to_string(i);
+    spec.name = "j";
+    spec.name += std::to_string(i);
     spec.qos = rng.bernoulli(0.3) ? hpc::Qos::Realtime : hpc::Qos::Regular;
     spec.nodes = int(rng.uniform_int(1, 3));
     spec.duration = rng.exponential(100.0);

@@ -168,8 +168,9 @@ TEST(ProppantPhantom, TimeEvolutionClosesFracture) {
   EXPECT_LT(f_half, f1);  // walls keep converging
 
   // Proppant survives creep (it props): spheres still present at t=1.
+  const Volume crept = proppant_phantom_at(48, 17, 1.0);
   bool has_proppant = false;
-  for (float p : proppant_phantom_at(48, 17, 1.0).span()) {
+  for (float p : crept.span()) {
     if (p == 1.0f) has_proppant = true;
   }
   EXPECT_TRUE(has_proppant);

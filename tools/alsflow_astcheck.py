@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Coroutine-lifetime AST check: suspension, frames, escapes, blocking.
 
 The flow engine, transfer service and facility adapters are C++20
@@ -38,27 +37,23 @@ Rules (over src/** by default; comments and strings stripped first):
                          expression. Blocking the engine thread stalls
                          every in-flight flow.
 
-Engines: --engine libclang parses with clang.cindex (function boundaries
-and parameter types from the real AST); --engine token uses the built-in
-frontend (no dependencies). --engine auto (default) prefers libclang and
-falls back per-file on any parse failure, so the check runs everywhere.
+Engines: the token frontend (default) needs no dependencies; the libclang
+frontend (ClangFrontend) takes function boundaries and parameter types
+from the real AST. Both feed the same Unit model and rule code.
 
 A single line is exempted with  // astcheck:allow <rule> <reason>  — the
 reason is mandatory; a bare allow does not suppress. Per-file exemptions
-go in ALLOW below with a justification comment.
+go in ALLOW below with a justification comment. Corpus files under
+tests/astcheck/ mark each seeded violation with  // astcheck:expect <rule>.
 
-Output: --format text (default), json, or github (Actions annotations).
---corpus DIR runs expectation mode over the seeded violation corpus
-(tests/astcheck/): every  // astcheck:expect <rule>  line must fire and
-nothing else may. --selftest checks the rules against embedded snippets.
-Exit status: 0 clean, 1 findings/mismatch, 2 usage error.
+This module is the `ast` rule family of tools/alsflow_check.py, which
+runs it:  python3 tools/alsflow_check.py --rules ast [--selftest |
+--corpus tests/astcheck]. It also holds the tokenizer, scope parser and
+Finding/Family records the other families import.
 """
 
-import argparse
-import json
 import re
-import sys
-from pathlib import Path
+from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -689,6 +684,18 @@ class Finding:
         return (self.path, self.line, self.rule)
 
 
+class Family(NamedTuple):
+    """A rule family as tools/alsflow_check.py drives it."""
+    name: str           # --rules key; output is titled "<name>check"
+    rules: tuple        # the rule ids it reports
+    expect: re.Pattern  # corpus marker: // <name>check:expect <rule>[,...]
+    analyze: object     # analyze(files, units, root) -> [Finding]
+    frontend: type      # libclang frontend: frontend(root).units(path, text)
+    bad: dict           # rule -> snippets on which that rule must fire
+    good: list          # snippets on which no rule may fire
+    snippet_wrap: tuple = ("", "")  # (prelude, epilogue) around a snippet
+
+
 def rule_lock_across_suspend(unit, findings, path):
     depth = 0
     guards = []  # (name, depth, decl_line)
@@ -808,7 +815,7 @@ RULE_FNS = (
 
 
 # ---------------------------------------------------------------------------
-# Driver
+# Family entry point
 # ---------------------------------------------------------------------------
 
 
@@ -830,126 +837,20 @@ def analyze_text(text, rel, units):
     return kept
 
 
-def analyze_file(path, rel, frontend, warnings):
-    text = path.read_text(encoding="utf-8", errors="replace")
-    units = None
-    if frontend is not None:
-        try:
-            units = frontend.units(path, text)
-        except Exception as e:  # noqa: any libclang failure → token engine
-            warnings.append(f"{rel}: libclang failed ({e}); "
-                            f"using token frontend")
-    if units is None:
-        units = token_frontend_units(text)
-    return analyze_text(text, rel, units)
-
-
-def make_frontend(engine, root, warnings):
-    if engine == "token":
-        return None
-    try:
-        return ClangFrontend(root)
-    except Exception as e:
-        if engine == "libclang":
-            print(f"alsflow_astcheck: libclang unavailable: {e}",
-                  file=sys.stderr)
-            sys.exit(2)
-        warnings.append(f"libclang unavailable ({e}); using token frontend")
-        return None
-
-
-def emit(findings, n_files, fmt):
-    if fmt == "json":
-        print(json.dumps({
-            "findings": [{"file": f.path, "line": f.line, "rule": f.rule,
-                          "message": f.message} for f in findings],
-            "files_scanned": n_files,
-        }, indent=2))
-        return
-    for f in findings:
-        if fmt == "github":
-            msg = f.message.replace("%", "%25").replace("\n", "%0A")
-            print(f"::error file={f.path},line={f.line},"
-                  f"title=astcheck {f.rule}::{msg}")
-        else:
-            print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
-    if fmt != "json":
-        if findings:
-            print(f"\nalsflow_astcheck: {len(findings)} finding(s) "
-                  f"in {n_files} file(s)")
-        else:
-            print(f"alsflow_astcheck: OK ({n_files} files clean)")
-
-
-def scan(root, engine, fmt):
-    src = root / "src"
-    if not src.is_dir():
-        print(f"alsflow_astcheck: no src/ under {root}", file=sys.stderr)
-        return 2
-    warnings = []
-    frontend = make_frontend(engine, root, warnings)
-    findings, n = [], 0
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in (".hpp", ".cpp"):
-            continue
-        n += 1
-        rel = path.relative_to(root).as_posix()
-        findings.extend(analyze_file(path, rel, frontend, warnings))
-    for w in warnings:
-        print(f"alsflow_astcheck: note: {w}", file=sys.stderr)
-    emit(findings, n, fmt)
-    return 1 if findings else 0
+def analyze(files, units, root):
+    """Family entry point over {rel: text}. units[rel] is the libclang unit
+    list for that file, or None (or units None) for the token frontend."""
+    findings = []
+    for rel, text in files.items():
+        file_units = units.get(rel) if units else None
+        if file_units is None:
+            file_units = token_frontend_units(text)
+        findings.extend(analyze_text(text, rel, file_units))
+    return findings
 
 
 # ---------------------------------------------------------------------------
-# Corpus expectation mode
-# ---------------------------------------------------------------------------
-
-
-def run_corpus(corpus_dir, root, engine):
-    corpus = Path(corpus_dir)
-    if not corpus.is_dir():
-        print(f"alsflow_astcheck: no corpus dir {corpus}", file=sys.stderr)
-        return 2
-    warnings = []
-    frontend = make_frontend(engine, root, warnings)
-    failures = []
-    n_expected = n_files = 0
-    for path in sorted(corpus.rglob("*")):
-        if path.suffix not in (".hpp", ".cpp"):
-            continue
-        n_files += 1
-        rel = path.relative_to(corpus).as_posix()
-        text = path.read_text(encoding="utf-8", errors="replace")
-        expected = set()
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            m = EXPECT.search(line)
-            if m:
-                for rule in m.group(1).split(","):
-                    expected.add((rel, line_no, rule.strip()))
-        n_expected += len(expected)
-        got = {f.key() for f in analyze_file(path, rel, frontend, warnings)}
-        for miss in sorted(expected - got):
-            failures.append(f"MISSED   {miss[0]}:{miss[1]} [{miss[2]}] "
-                            f"(expected violation did not fire)")
-        for spur in sorted(got - expected):
-            failures.append(f"SPURIOUS {spur[0]}:{spur[1]} [{spur[2]}] "
-                            f"(finding on a clean line)")
-    for w in warnings:
-        print(f"alsflow_astcheck: note: {w}", file=sys.stderr)
-    for f in failures:
-        print(f)
-    if failures:
-        print(f"\nalsflow_astcheck --corpus: FAIL "
-              f"({len(failures)} mismatch(es))")
-        return 1
-    print(f"alsflow_astcheck --corpus: OK ({n_expected} seeded violations "
-          f"fired, no spurious findings, {n_files} files)")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Selftest
+# Selftest snippets
 # ---------------------------------------------------------------------------
 
 BAD_SNIPPETS = {
@@ -1032,50 +933,5 @@ GOOD_SNIPPETS = [
 ]
 
 
-def selftest():
-    failures = []
-    for rule, snippets in BAD_SNIPPETS.items():
-        for snippet in snippets:
-            units = token_frontend_units(snippet)
-            found = [f for f in analyze_text(snippet, "<snippet>", units)
-                     if f.rule == rule]
-            if not found:
-                failures.append(f"[{rule}] should fire on:\n{snippet}")
-    for snippet in GOOD_SNIPPETS:
-        units = token_frontend_units(snippet)
-        found = analyze_text(snippet, "<snippet>", units)
-        for f in found:
-            failures.append(f"[{f.rule}] should NOT fire "
-                            f"(line {f.line}: {f.message}) on:\n{snippet}")
-    for f in failures:
-        print(f)
-    n_bad = sum(len(s) for s in BAD_SNIPPETS.values())
-    print("alsflow_astcheck --selftest: " +
-          ("FAIL" if failures else
-           f"OK ({n_bad} bad, {len(GOOD_SNIPPETS)} good snippets)"))
-    return 1 if failures else 0
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path,
-                    default=Path(__file__).parent.parent,
-                    help="repository root (contains src/)")
-    ap.add_argument("--engine", choices=("auto", "token", "libclang"),
-                    default="auto", help="AST frontend (default: auto)")
-    ap.add_argument("--format", choices=("text", "json", "github"),
-                    default="text", help="output format")
-    ap.add_argument("--selftest", action="store_true",
-                    help="check the rules against embedded snippets")
-    ap.add_argument("--corpus", type=Path, default=None,
-                    help="run expectation mode over a violation corpus dir")
-    args = ap.parse_args()
-    if args.selftest:
-        return selftest()
-    if args.corpus is not None:
-        return run_corpus(args.corpus, args.root.resolve(), args.engine)
-    return scan(args.root.resolve(), args.engine, args.format)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+FAMILY = Family("ast", RULES, EXPECT, analyze, ClangFrontend,
+                BAD_SNIPPETS, GOOD_SNIPPETS)

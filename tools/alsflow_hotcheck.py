@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Hot-path purity checker for the alsflow tree.
 
 The hot-path contract (DESIGN.md #16) says: code that runs inside a hot
@@ -38,21 +37,18 @@ lockcheck libclang frontend with `--engine libclang`; effect scanning and
 call-graph closure are shared between the two, so both engines must agree
 on the corpus under tests/hotcheck/.
 
-Exit codes: 0 clean, 1 findings (or corpus/selftest failure), 2 usage.
+This module is the `hot` rule family of tools/alsflow_check.py:
+  python3 tools/alsflow_check.py --rules hot [--selftest |
+  --corpus tests/hotcheck]
 """
 
-import argparse
-import json
 import re
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from alsflow_astcheck import (  # noqa: E402
-    Finding, parse_scopes, tokenize)
-from alsflow_lockcheck import (  # noqa: E402
-    ClangFunctions, EMIT_METHODS, IDENT, NOT_CALLEES, class_name_from_header,
-    find_top_level, flatten_body, method_class_from_header, read_tree)
+from alsflow_astcheck import Family, Finding, parse_scopes, tokenize
+from alsflow_lockcheck import (
+    SNIPPET_WRAP, ClangFunctions, EMIT_METHODS, IDENT, NOT_CALLEES,
+    class_name_from_header, find_top_level, flatten_body,
+    method_class_from_header)
 
 ALLOW = re.compile(r"//\s*hotcheck:allow\s+([\w,-]+)(?:[ \t]+(\S.*\S|\S))?")
 EXPECT = re.compile(r"//\s*hotcheck:expect\s+([\w,-]+)")
@@ -584,120 +580,15 @@ def analyze_sources(files, units_by_path=None):
     return model.findings()
 
 
-# ---------------------------------------------------------------------------
-# Drivers
-# ---------------------------------------------------------------------------
-
-
-def make_frontend(engine, root, warnings):
-    if engine in ("auto", "libclang"):
-        try:
-            return ClangFunctions(root)
-        except Exception as exc:  # noqa: broad, mirrors lockcheck
-            if engine == "libclang":
-                raise SystemExit(
-                    f"alsflow_hotcheck: libclang unavailable: {exc}")
-            warnings.append(f"libclang unavailable ({exc}); "
-                            "using token frontend")
-    return None
-
-
-def collect_units(frontend, base, files):
-    if frontend is None:
-        return None
-    return {rel: frontend.units(str(Path(base) / rel), text)
-            for rel, text in files.items()}
-
-
-def emit(findings, n_files, fmt):
-    if fmt == "json":
-        print(json.dumps({
-            "findings": [{"file": f.path, "line": f.line, "rule": f.rule,
-                          "message": f.message} for f in findings],
-            "files_scanned": n_files,
-        }, indent=2))
-        return
-    for f in findings:
-        if fmt == "github":
-            msg = f.message.replace("%", "%25").replace("\n", "%0A")
-            print(f"::error file={f.path},line={f.line},"
-                  f"title=hotcheck {f.rule}::{msg}")
-        else:
-            print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
-    if fmt != "json":
-        if findings:
-            print(f"\nalsflow_hotcheck: {len(findings)} finding(s) "
-                  f"in {n_files} file(s)")
-        else:
-            print(f"alsflow_hotcheck: OK ({n_files} files clean)")
-
-
-def scan(root, engine, fmt):
-    root = Path(root)
-    if not (root / "src").is_dir():
-        print(f"alsflow_hotcheck: no src/ under {root}", file=sys.stderr)
-        return 2
-    warnings = []
-    frontend = make_frontend(engine, root, warnings)
-    files = read_tree(root)
-    units = collect_units(frontend, root, files)
-    findings = analyze_sources(files, units)
-    for w in warnings:
-        print(f"alsflow_hotcheck: note: {w}", file=sys.stderr)
-    emit(findings, len(files), fmt)
-    return 1 if findings else 0
-
-
-def run_corpus(corpus_dir, root, engine):
-    corpus = Path(corpus_dir)
-    if not corpus.is_dir():
-        print(f"alsflow_hotcheck: no corpus dir {corpus}", file=sys.stderr)
-        return 2
-    warnings = []
-    frontend = make_frontend(engine, root, warnings)
-    files, expected = {}, set()
-    for path in sorted(corpus.rglob("*")):
-        if path.suffix not in (".hpp", ".cpp"):
-            continue
-        rel = path.relative_to(corpus).as_posix()
-        text = path.read_text(encoding="utf-8", errors="replace")
-        files[rel] = text
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            m = EXPECT.search(line)
-            if m:
-                for rule in m.group(1).split(","):
-                    expected.add((rel, line_no, rule.strip()))
-    units = collect_units(frontend, corpus, files)
-    findings = analyze_sources(files, units)
-    got = {f.key() for f in findings}
-    failures = []
-    for miss in sorted(expected - got):
-        failures.append(f"MISSED   {miss[0]}:{miss[1]} [{miss[2]}] "
-                        f"(expected violation did not fire)")
-    for spur in sorted(got - expected):
-        msg = next(f.message for f in findings if f.key() == spur)
-        failures.append(f"SPURIOUS {spur[0]}:{spur[1]} [{spur[2]}] {msg}")
-    for w in warnings:
-        print(f"alsflow_hotcheck: note: {w}", file=sys.stderr)
-    for f in failures:
-        print(f)
-    print("alsflow_hotcheck --corpus: " +
-          ("FAIL" if failures else
-           f"OK ({len(expected)} expectations over {len(files)} files)"))
-    return 1 if failures else 0
+def analyze(files, units, root):
+    """Family entry point (root is unused: hot regions need no tables)."""
+    return analyze_sources(files, units)
 
 
 # ---------------------------------------------------------------------------
 # Selftest
 # ---------------------------------------------------------------------------
 
-
-_PRELUDE = """
-namespace alsflow {
-"""
-_EPILOGUE = """
-}
-"""
 
 BAD_SNIPPETS = {
     "hot-alloc": [
@@ -911,50 +802,5 @@ void default_ctor_ok(std::size_t n) {
 ]
 
 
-def selftest():
-    failures = []
-    for rule, snippets in BAD_SNIPPETS.items():
-        for snippet in snippets:
-            text = _PRELUDE + snippet + _EPILOGUE
-            found = [f for f in analyze_sources({"<snippet>.cpp": text})
-                     if f.rule == rule]
-            if not found:
-                failures.append(f"[{rule}] should fire on:\n{snippet}")
-    for snippet in GOOD_SNIPPETS:
-        text = _PRELUDE + snippet + _EPILOGUE
-        for f in analyze_sources({"<snippet>.cpp": text}):
-            failures.append(f"[{f.rule}] should NOT fire "
-                            f"(line {f.line}: {f.message}) on:\n{snippet}")
-    for f in failures:
-        print(f)
-    n_bad = sum(len(s) for s in BAD_SNIPPETS.values())
-    print("alsflow_hotcheck --selftest: " +
-          ("FAIL" if failures else
-           f"OK ({n_bad} bad, {len(GOOD_SNIPPETS)} good snippets)"))
-    return 1 if failures else 0
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path,
-                    default=Path(__file__).parent.parent,
-                    help="repository root (contains src/)")
-    ap.add_argument("--engine", choices=("auto", "token", "libclang"),
-                    default="token",
-                    help="frontend for function discovery (default: token)")
-    ap.add_argument("--format", choices=("text", "json", "github"),
-                    default="text", help="output format")
-    ap.add_argument("--selftest", action="store_true",
-                    help="check the rules against embedded snippets")
-    ap.add_argument("--corpus", type=Path, default=None,
-                    help="run expectation mode over a violation corpus dir")
-    args = ap.parse_args()
-    if args.selftest:
-        return selftest()
-    if args.corpus is not None:
-        return run_corpus(args.corpus, args.root.resolve(), args.engine)
-    return scan(args.root.resolve(), args.engine, args.format)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+FAMILY = Family("hot", RULES, EXPECT, analyze, ClangFunctions,
+                BAD_SNIPPETS, GOOD_SNIPPETS, SNIPPET_WRAP)

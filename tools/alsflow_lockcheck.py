@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """alsflow_lockcheck: whole-program lock-order and callback-under-lock checker.
 
 The static half of alsflow's concurrency contract (the dynamic half is the
@@ -43,20 +42,17 @@ Waivers: `// lockcheck:allow <rule>[,<rule>] <reason>` on the flagged
 line — or on its own comment line directly above it — suppresses the
 finding; the reason is mandatory by convention and reviewed like a cast.
 
-Exit codes: 0 clean, 1 findings (or corpus/selftest mismatch), 2 usage /
-internal error.
+This module is the `lock` rule family of tools/alsflow_check.py:
+  python3 tools/alsflow_check.py --rules lock [--selftest |
+  --corpus tests/lockcheck]
 """
 
-import argparse
-import json
 import re
-import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from alsflow_astcheck import (  # noqa: E402
-    Finding, Tok, _match_forward, _render, _split_commas, parse_scopes,
-    tokenize)
+from alsflow_astcheck import (
+    Family, Finding, Tok, _match_forward, _render, _split_commas,
+    parse_scopes, tokenize)
 
 ALLOW = re.compile(r"//\s*lockcheck:allow\s+([\w,-]+)")
 EXPECT = re.compile(r"//\s*lockcheck:expect\s+([\w,-]+)")
@@ -1304,123 +1300,16 @@ class ClangFunctions:
                 self._walk(ch, path, toks, units)
 
 
-def make_frontend(engine, root, warnings):
-    if engine in ("auto", "libclang"):
-        try:
-            return ClangFunctions(root)
-        except Exception as exc:  # noqa: broad, mirrors astcheck
-            if engine == "libclang":
-                raise SystemExit(
-                    f"alsflow_lockcheck: libclang unavailable: {exc}")
-            warnings.append(f"libclang unavailable ({exc}); "
-                            "using token frontend")
-    return None  # token engine
-
-
 # ---------------------------------------------------------------------------
-# Drivers
+# Family entry point
 # ---------------------------------------------------------------------------
 
 
-def read_tree(root, subdir="src"):
-    base = Path(root) / subdir
-    files = {}
-    for path in sorted(base.rglob("*")):
-        if path.suffix in (".hpp", ".cpp"):
-            rel = path.relative_to(root).as_posix()
-            files[rel] = path.read_text(encoding="utf-8", errors="replace")
-    return files
-
-
-def collect_units(frontend, root, files):
-    if frontend is None:
-        return None
-    out = {}
-    for rel, text in files.items():
-        out[rel] = frontend.units(str(Path(root) / rel), text)
-    return out
-
-
-def emit(findings, n_files, fmt):
-    if fmt == "json":
-        print(json.dumps({
-            "findings": [{"file": f.path, "line": f.line, "rule": f.rule,
-                          "message": f.message} for f in findings],
-            "files_scanned": n_files,
-        }, indent=2))
-        return
-    for f in findings:
-        if fmt == "github":
-            msg = f.message.replace("%", "%25").replace("\n", "%0A")
-            print(f"::error file={f.path},line={f.line},"
-                  f"title=lockcheck {f.rule}::{msg}")
-        else:
-            print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
-    if fmt != "json":
-        if findings:
-            print(f"\nalsflow_lockcheck: {len(findings)} finding(s) "
-                  f"in {n_files} file(s)")
-        else:
-            print(f"alsflow_lockcheck: OK ({n_files} files clean)")
-
-
-def scan(root, engine, fmt):
-    root = Path(root)
-    if not (root / "src").is_dir():
-        print(f"alsflow_lockcheck: no src/ under {root}", file=sys.stderr)
-        return 2
-    warnings = []
-    frontend = make_frontend(engine, root, warnings)
-    files = read_tree(root)
-    units = collect_units(frontend, root, files)
-    findings = analyze_sources(files, load_ranks(root), units)
-    for w in warnings:
-        print(f"alsflow_lockcheck: note: {w}", file=sys.stderr)
-    emit(findings, len(files), fmt)
-    return 1 if findings else 0
-
-
-def run_corpus(corpus_dir, root, engine):
-    corpus = Path(corpus_dir)
-    if not corpus.is_dir():
-        print(f"alsflow_lockcheck: no corpus dir {corpus}", file=sys.stderr)
-        return 2
-    warnings = []
-    frontend = make_frontend(engine, root, warnings)
-    files, expected = {}, set()
-    for path in sorted(corpus.rglob("*")):
-        if path.suffix not in (".hpp", ".cpp"):
-            continue
-        rel = path.relative_to(corpus).as_posix()
-        text = path.read_text(encoding="utf-8", errors="replace")
-        files[rel] = text
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            m = EXPECT.search(line)
-            if m:
-                for rule in m.group(1).split(","):
-                    expected.add((rel, line_no, rule.strip()))
-    units = None
-    if frontend is not None:
-        units = {}
-        for rel, text in files.items():
-            units[rel] = frontend.units(str(corpus / rel), text)
-    findings = analyze_sources(files, load_ranks(root), units)
-    got = {f.key() for f in findings}
-    failures = []
-    for miss in sorted(expected - got):
-        failures.append(f"MISSED   {miss[0]}:{miss[1]} [{miss[2]}] "
-                        f"(expected violation did not fire)")
-    for spur in sorted(got - expected):
-        msg = next(f.message for f in findings if f.key() == spur)
-        failures.append(f"SPURIOUS {spur[0]}:{spur[1]} [{spur[2]}] {msg}")
-    for w in warnings:
-        print(f"alsflow_lockcheck: note: {w}", file=sys.stderr)
-    for f in failures:
-        print(f)
-    print("alsflow_lockcheck --corpus: " +
-          ("FAIL" if failures else
-           f"OK ({len(expected)} expectations over {len(files)} files)"))
-    return 1 if failures else 0
+def analyze(files, units, root):
+    """Family entry point: ranks come from root's lock_rank.hpp; the
+    selftest (root None) runs against SELFTEST_RANKS."""
+    ranks = SELFTEST_RANKS if root is None else load_ranks(root)
+    return analyze_sources(files, ranks, units)
 
 
 # ---------------------------------------------------------------------------
@@ -1430,12 +1319,8 @@ def run_corpus(corpus_dir, root, engine):
 
 SELFTEST_RANKS = {"kLow": 100, "kMid": 200, "kHigh": 300}
 
-_PRELUDE = """
-namespace alsflow {
-"""
-_EPILOGUE = """
-}
-"""
+# Selftest snippets are class/function bodies; wrap each in the namespace.
+SNIPPET_WRAP = ("\nnamespace alsflow {\n", "\n}\n")
 
 BAD_SNIPPETS = {
     "rank-inversion": [
@@ -1643,51 +1528,5 @@ class S {
 ]
 
 
-def selftest():
-    failures = []
-    for rule, snippets in BAD_SNIPPETS.items():
-        for snippet in snippets:
-            text = _PRELUDE + snippet + _EPILOGUE
-            found = [f for f in analyze_sources({"<snippet>.cpp": text},
-                                                SELFTEST_RANKS)
-                     if f.rule == rule]
-            if not found:
-                failures.append(f"[{rule}] should fire on:\n{snippet}")
-    for snippet in GOOD_SNIPPETS:
-        text = _PRELUDE + snippet + _EPILOGUE
-        for f in analyze_sources({"<snippet>.cpp": text}, SELFTEST_RANKS):
-            failures.append(f"[{f.rule}] should NOT fire "
-                            f"(line {f.line}: {f.message}) on:\n{snippet}")
-    for f in failures:
-        print(f)
-    n_bad = sum(len(s) for s in BAD_SNIPPETS.values())
-    print("alsflow_lockcheck --selftest: " +
-          ("FAIL" if failures else
-           f"OK ({n_bad} bad, {len(GOOD_SNIPPETS)} good snippets)"))
-    return 1 if failures else 0
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path,
-                    default=Path(__file__).parent.parent,
-                    help="repository root (contains src/)")
-    ap.add_argument("--engine", choices=("auto", "token", "libclang"),
-                    default="token",
-                    help="frontend for function discovery (default: token)")
-    ap.add_argument("--format", choices=("text", "json", "github"),
-                    default="text", help="output format")
-    ap.add_argument("--selftest", action="store_true",
-                    help="check the rules against embedded snippets")
-    ap.add_argument("--corpus", type=Path, default=None,
-                    help="run expectation mode over a violation corpus dir")
-    args = ap.parse_args()
-    if args.selftest:
-        return selftest()
-    if args.corpus is not None:
-        return run_corpus(args.corpus, args.root.resolve(), args.engine)
-    return scan(args.root.resolve(), args.engine, args.format)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+FAMILY = Family("lock", RULES, EXPECT, analyze, ClangFunctions,
+                BAD_SNIPPETS, GOOD_SNIPPETS, SNIPPET_WRAP)
