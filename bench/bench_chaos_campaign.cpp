@@ -73,16 +73,7 @@ CampaignResult run_campaign(const Scenario* scenario) {
   pipeline::Facility fac(cfg);
 
   chaos::ChaosEngine chaos_eng(fac.engine());
-  chaos_eng.bind_link(&fac.lan());
-  chaos_eng.bind_link(&fac.esnet_nersc());
-  chaos_eng.bind_link(&fac.esnet_alcf());
-  chaos_eng.bind_adapter(&fac.nersc_adapter());
-  chaos_eng.bind_adapter(&fac.alcf_adapter());
-  chaos_eng.bind_transfer(&fac.globus());
-  chaos_eng.bind_endpoint(&fac.cfs());
-  chaos_eng.bind_endpoint(&fac.eagle());
-  chaos_eng.bind_flow_engine(&fac.flows());
-  chaos_eng.bind_run_db(&fac.run_db());
+  fac.bind_chaos(chaos_eng);
   if (scenario != nullptr) chaos_eng.arm(*scenario);
 
   std::vector<sim::Future<pipeline::ScanOutcome>> futs;

@@ -70,6 +70,10 @@ std::vector<Persona> default_personas() {
 
 namespace {
 
+// Extra simulated time after the last scan starts, letting in-flight flows
+// drain. Bounds the run even when infinite schedules (pruning) are active.
+constexpr Seconds kDrainMargin = hours(12);
+
 // Pointers, not references: this is a detached coroutine, and reference
 // parameters dangle once the frame outlives the call (astcheck
 // coroutine-ref-param). Both pointees live in run_campaign's frame, which
@@ -109,7 +113,7 @@ CampaignReport run_campaign(Facility& facility, const CampaignConfig& config) {
     return report;  // zero scans started: nothing ran
   }
   const Seconds t_end =
-      facility.engine().now() + config.duration + config.drain_margin;
+      facility.engine().now() + config.duration + kDrainMargin;
   drive(&facility, config, &report.scans_started).detach();
   // run_until (not run): periodic schedules like pruning never quiesce.
   facility.engine().run_until(t_end);

@@ -53,10 +53,6 @@ struct CampaignConfig {
   std::uint64_t seed = 7;
   bool randomize_kind = true;           // draw from the production mix
   ScanKind fixed_kind = ScanKind::Standard;
-  // Extra simulated time after the last scan starts, letting in-flight
-  // flows drain. Bounds the run even when infinite schedules (pruning)
-  // are active.
-  Seconds drain_margin = hours(12);
 };
 
 struct CampaignReport {

@@ -11,45 +11,41 @@ namespace alsflow::pipeline {
 using flow::keyed;
 using flow::task_spec;
 
+constexpr double kLanGbps = 10.0;          // beamline NIC (paper: 10 Gbps)
+constexpr double kOutputWriteRate = 2e9;  // in-job TIFF + Zarr writes
+
 Facility::Facility(FacilityConfig config)
     : config_(config),
       placement_policy_(sched::make_policy(config.placement)),
       rng_(config.seed),
+      sites_(eng_, {config.perlmutter_nodes, config.polaris_workers,
+                    config.esnet_nersc_gbps, config.esnet_alcf_gbps,
+                    config.esnet_cloud_gbps, config.compute}),
       acq_server_("als-acq", storage::Tier::BeamlineLocal, 50 * TiB),
       beamline_data_("als-data", storage::Tier::BeamlineLocal, 200 * TiB),
       cfs_("nersc-cfs", storage::Tier::Cfs, 2000 * TiB),
       eagle_("alcf-eagle", storage::Tier::Eagle, 2000 * TiB),
       hpss_("nersc-hpss", storage::Tier::Hpss, 100000 * TiB),
-      lan_(eng_, "beamline-lan", gbps(config.lan_gbps), 0.001),
-      esnet_nersc_(eng_, "esnet-nersc", gbps(config.esnet_nersc_gbps), 0.03),
-      esnet_alcf_(eng_, "esnet-alcf", gbps(config.esnet_alcf_gbps), 0.05),
+      cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB),
+      lan_(eng_, "beamline-lan", gbps(kLanGbps), 0.001),
       zmq_back_(eng_, "zmq-return", gbps(config.esnet_nersc_gbps), 0.03),
       globus_(eng_, config.seed ^ 0x5eed),
-      perlmutter_(eng_, "perlmutter", config.perlmutter_nodes),
-      sfapi_(eng_, perlmutter_),
-      nersc_(eng_, sfapi_, config.compute),
-      polaris_(eng_, "polaris", config.polaris_workers),
-      alcf_(eng_, polaris_, config.compute),
-      workstation_(eng_, config.compute),
       flows_(eng_, db_),
       detector_(eng_, beamline::Detector::Config{}, config.seed ^ 0xde7),
       mirror_(eng_, detector_.ioc_channel(), "pva-mirror"),
       file_writer_(eng_, mirror_.channel(), acq_server_),
-      streaming_(eng_, mirror_.channel(), esnet_nersc_, zmq_back_,
+      streaming_(eng_, mirror_.channel(), sites_.esnet_nersc(), zmq_back_,
                  config.compute),
-      cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB),
-      esnet_cloud_(eng_, "esnet-cloud", gbps(config.esnet_cloud_gbps), 0.04),
-      cloud_(eng_, config.compute),
-      scheduler_(eng_, flows_, directory_, *placement_policy_) {
+      scheduler_(eng_, flows_, sites_.directory(), *placement_policy_) {
   // Globus routes between every endpoint pair in use.
   globus_.add_route("als-acq", "als-data", &lan_);
-  globus_.add_route("als-data", "nersc-cfs", &esnet_nersc_);
-  globus_.add_route("nersc-cfs", "als-data", &esnet_nersc_);
-  globus_.add_route("als-data", "alcf-eagle", &esnet_alcf_);
-  globus_.add_route("alcf-eagle", "als-data", &esnet_alcf_);
-  globus_.add_route("nersc-cfs", "nersc-hpss", &esnet_nersc_);
-  globus_.add_route("als-data", "cloud-s3", &esnet_cloud_);
-  globus_.add_route("cloud-s3", "als-data", &esnet_cloud_);
+  globus_.add_route("als-data", "nersc-cfs", &sites_.esnet_nersc());
+  globus_.add_route("nersc-cfs", "als-data", &sites_.esnet_nersc());
+  globus_.add_route("als-data", "alcf-eagle", &sites_.esnet_alcf());
+  globus_.add_route("alcf-eagle", "als-data", &sites_.esnet_alcf());
+  globus_.add_route("nersc-cfs", "nersc-hpss", &sites_.esnet_nersc());
+  globus_.add_route("als-data", "cloud-s3", &sites_.esnet_cloud());
+  globus_.add_route("cloud-s3", "als-data", &sites_.esnet_cloud());
 
   // Paper: high concurrency for scan detection, lower for HPC submission
   // (but at least the steady-state number of in-flight reconstructions).
@@ -66,45 +62,17 @@ Facility::Facility(FacilityConfig config)
         if (it != write_done_.end()) it->second.trigger(path);
       });
 
-  // The facility recon branches, as route-table rows. Task names, labels,
-  // remote paths, and staging formulas are pinned by the golden chaos
-  // campaign — a row must reproduce its hand-written predecessor exactly.
-  nersc_route_ = {"nersc",          "nersc_recon_flow",
-                  "hpc-nersc",      &cfs_,
-                  &nersc_,          &esnet_nersc_,
-                  "globus_to_cfs",  "sfapi_recon_job",
-                  "nersc:raw_to_cfs", "nersc:recon_back",
-                  "/recon/nersc/",  /*stage_in_copy=*/true};
-  alcf_route_ = {"alcf",            "alcf_recon_flow",
-                 "hpc-alcf",        &eagle_,
-                 &alcf_,            &esnet_alcf_,
-                 "globus_to_eagle", "globus_compute_recon",
-                 "alcf:raw_to_eagle", "alcf:recon_back",
-                 "/recon/alcf/",    /*stage_in_copy=*/false};
-  cloud_route_ = {"cloud",          "cloud_recon_flow",
-                  "hpc-cloud",      &cloud_s3_,
-                  &cloud_,          &esnet_cloud_,
-                  "globus_to_cloud", "cloud_recon_job",
-                  "cloud:raw_to_s3", "cloud:recon_back",
-                  "/recon/cloud/",  /*stage_in_copy=*/false};
+  // One recon route per directory row. Task names, labels, remote paths,
+  // and staging formulas are pinned by the golden chaos campaign.
+  const sched::FacilityDirectory& dir = sites_.directory();
+  routes_ = {{{dir.find("nersc"), &cfs_, "globus_to_cfs", "sfapi_recon_job",
+               "nersc:raw_to_cfs", /*stage_in_copy=*/true},
+              {dir.find("alcf"), &eagle_, "globus_to_eagle",
+               "globus_compute_recon", "alcf:raw_to_eagle", false},
+              {dir.find("cloud"), &cloud_s3_, "globus_to_cloud",
+               "cloud_recon_job", "cloud:raw_to_s3", false}}};
 
   register_flows();
-
-  // Placement targets: every route is a candidate; capacity hints mirror
-  // each site's concurrency (nodes, pilot workers, an elastic-but-slower
-  // cloud pool).
-  auto add_target = [this](const ReconRoute& route, double capacity) {
-    sched::FacilityInfo info;
-    info.name = route.facility;
-    info.flow_name = route.flow_name;
-    info.adapter = route.adapter;
-    info.link = route.link;
-    info.capacity_hint = capacity;
-    directory_.add(std::move(info));
-  };
-  add_target(nersc_route_, double(config.perlmutter_nodes));
-  add_target(alcf_route_, double(config.polaris_workers));
-  add_target(cloud_route_, 16.0);
 
   // Pre-flight: every shipped flow graph must validate clean before the
   // first scan. A malformed graph is a programming error, caught here in
@@ -137,26 +105,26 @@ void Facility::register_flows() {
   // Every facility branch is one registration of the generic route flow:
   // the declared graph and the executed tasks come from the same row, so
   // a route cannot drift from its spec.
-  for (const ReconRoute* route :
-       {&nersc_route_, &alcf_route_, &cloud_route_}) {
+  for (const ReconRoute& route : routes_) {
+    const std::string& flow_name = route.site->flow_name;
     flow::FlowOptions hpc_opts;
     hpc_opts.max_retries = 1;
     hpc_opts.retry_delay = 60.0;
-    hpc_opts.work_pool = route->pool;
+    hpc_opts.work_pool = "hpc-" + route.site->name;
     flow::FlowSpec spec;
     spec.tasks = {
-        task_spec(route->flow_name, route->to_remote_task, {}, true, false),
-        task_spec(route->flow_name, route->recon_task,
-                  {route->to_remote_task}, false, true),
-        task_spec(route->flow_name, "globus_back_to_beamline",
-                  {route->recon_task}, true, false),
-        task_spec(route->flow_name, "scicat_derived",
-                  {"globus_back_to_beamline"}, false, false),
+        task_spec(flow_name, route.to_remote_task, {}, true, false),
+        task_spec(flow_name, route.recon_task, {route.to_remote_task}, false,
+                  true),
+        task_spec(flow_name, "globus_back_to_beamline", {route.recon_task},
+                  true, false),
+        task_spec(flow_name, "scicat_derived", {"globus_back_to_beamline"},
+                  false, false),
     };
     flows_.register_flow(
-        route->flow_name,
-        [this, route](flow::FlowContext ctx) {
-          return recon_route_flow(ctx, route);
+        flow_name,
+        [this, r = &route](flow::FlowContext ctx) {
+          return recon_route_flow(ctx, r);
         },
         hpc_opts, spec);
   }
@@ -262,7 +230,8 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
   const std::string raw_path = file_writer_.path_for(scan);
   const std::string remote_raw = "/als/raw/" + scan.scan_id + ".ah5";
   const std::string remote_recon = "/als/recon/" + scan.scan_id + ".zarr";
-  const std::string back_path = route->back_prefix + scan.scan_id + ".zarr";
+  const std::string back_path =
+      "/recon/" + route->site->name + "/" + scan.scan_id + ".zarr";
 
   // Task 1: Globus transfer of the raw file to the facility-side store.
   std::function<sim::Future<Status>()> moved_task =
@@ -294,18 +263,19 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         job.nz = scan.rows;
         job.n = scan.cols;
         job.algorithm = tomo::Algorithm::Gridrec;
-        job.staging_seconds = double(scan.recon_bytes()) * 1.3 /
-                              config_.output_write_rate;
+        job.staging_seconds = double(scan.recon_bytes()) *
+                              sched::kProductFactor / kOutputWriteRate;
         if (route->stage_in_copy) {
           job.staging_seconds +=
               double(scan.raw_bytes()) / config_.pscratch_stage_rate;
         }
         job.trace_parent = flows_.task_span(run_id);
-        auto outcome = co_await route->adapter->run(job);
+        auto outcome = co_await route->site->adapter->run(job);
         if (!outcome.status.ok()) co_return outcome.status;
-        co_return route->remote->put(remote_recon,
-                                     Bytes(double(scan.recon_bytes()) * 1.3),
-                                     fnv1a64(remote_recon), eng_.now());
+        co_return route->remote->put(
+            remote_recon,
+            Bytes(double(scan.recon_bytes()) * sched::kProductFactor),
+            fnv1a64(remote_recon), eng_.now());
       };
   Status recon = co_await flows_.run_task(ctx, route->recon_task, recon_task,
                               keyed(ctx, route->recon_task));
@@ -320,7 +290,7 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         spec.dst = &beamline_data_;
         spec.files = {{remote_recon, back_path}};
         spec.verify_checksum = config_.verify_checksums;
-        spec.label = route->back_label;
+        spec.label = route->site->name + ":recon_back";
         spec.trace_parent = flows_.task_span(run_id);
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
@@ -337,7 +307,7 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         scicat_.ingest(catalog::DatasetType::Derived, back_path,
                        beamline_data_.name(), eng_.now(),
                        {{"scan_id", scan.scan_id},
-                        {"pipeline", route->flow_name},
+                        {"pipeline", route->site->flow_name},
                         {"algorithm", "gridrec"}},
                        parent == raw_pids_.end() ? "" : parent->second);
         co_return Status::success();
@@ -440,8 +410,19 @@ sim::Proc Facility::background_job_generator(Seconds until) {
     job.qos = hpc::Qos::Regular;
     job.duration = rng_.exponential(config_.background_job_mean);
     job.walltime_limit = job.duration + hours(1);
-    perlmutter_.submit(job);
+    sites_.perlmutter().submit(job);
   }
+}
+
+void Facility::bind_chaos(chaos::ChaosEngine& chaos) {
+  sites_.bind(chaos);
+  chaos.bind_link(&lan_);
+  chaos.bind_transfer(&globus_);
+  chaos.bind_endpoint(&cfs_);
+  chaos.bind_endpoint(&eagle_);
+  chaos.bind_endpoint(&cloud_s3_);
+  chaos.bind_flow_engine(&flows_);
+  chaos.bind_run_db(&db_);
 }
 
 void Facility::start_background_load(Seconds duration) {

@@ -7,11 +7,11 @@
 //                  facility: nersc, alcf, cloud) and scheduled pruning
 //                  flows; a FederatedScheduler places every reconstructing
 //                  scan on the routes under FacilityConfig::placement
-//   Movement     — Globus TransferService over ESnet links; streaming via
-//                  the PVA mirror + ZeroMQ return path
-//   Compute      — Perlmutter (Slurm + SFAPI, realtime QOS) and Polaris
-//                  (Globus Compute pilot endpoint), plus the historical
-//                  workstation baseline
+//   Movement     — Globus TransferService over the LAN and ESnet links;
+//                  streaming via the PVA mirror + ZeroMQ return path
+//   Compute      — sched::Sites, shared with FleetWorld: Perlmutter (Slurm
+//                  + SFAPI, realtime QOS), Polaris (Globus Compute), the
+//                  cloud-burst pool, their ESnet paths and the directory
 //   Access       — SciCat metadata catalogue (+ TiledService at library
 //                  level for real-pixel runs)
 //
@@ -21,6 +21,7 @@
 // every scan reconstructs at both NERSC and ALCF.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,16 +31,17 @@
 #include "beamline/detector.hpp"
 #include "beamline/file_writer.hpp"
 #include "catalog/scicat.hpp"
+#include "chaos/chaos_engine.hpp"
 #include "common/rng.hpp"
 #include "flow/engine.hpp"
 #include "hpc/adapter.hpp"
-#include "hpc/cloud.hpp"
 #include "net/link.hpp"
 #include "net/pubsub.hpp"
 #include "pipeline/streaming_service.hpp"
 #include "sched/directory.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/sites.hpp"
 #include "sim/engine.hpp"
 #include "storage/endpoint.hpp"
 #include "storage/retention.hpp"
@@ -50,9 +52,8 @@ namespace alsflow::pipeline {
 struct FacilityConfig {
   std::uint64_t seed = 42;
 
-  // Network (paper: 10 Gbps beamline NIC; ESnet paths to both centers,
-  // plus a thinner commercial path to the cloud burst region).
-  double lan_gbps = 10.0;
+  // Network (ESnet paths to both centers, plus a thinner commercial path
+  // to the cloud burst region).
   double esnet_nersc_gbps = 10.0;
   double esnet_alcf_gbps = 10.0;
   double esnet_cloud_gbps = 5.0;
@@ -68,9 +69,8 @@ struct FacilityConfig {
   double background_utilization = 0.8;
   Seconds background_job_mean = 900.0;
 
-  // Staging I/O rates inside jobs.
-  double pscratch_stage_rate = 5e9;   // CFS -> pscratch copy
-  double output_write_rate = 2e9;     // TIFF + Zarr product writes
+  // In-job CFS -> pscratch staging copy rate (NERSC).
+  double pscratch_stage_rate = 5e9;
 
   // Flow behaviour.
   bool verify_checksums = true;
@@ -122,25 +122,20 @@ class Facility {
   storage::StorageEndpoint& eagle() { return eagle_; }
   storage::StorageEndpoint& hpss() { return hpss_; }
   transfer::TransferService& globus() { return globus_; }
-  hpc::SlurmCluster& perlmutter() { return perlmutter_; }
-  hpc::GlobusComputeEndpoint& polaris() { return polaris_; }
+  hpc::SlurmCluster& perlmutter() { return sites_.perlmutter(); }
+  hpc::GlobusComputeEndpoint& polaris() { return sites_.polaris(); }
   flow::FlowEngine& flows() { return flows_; }
   flow::RunDatabase& run_db() { return db_; }
   catalog::SciCatalog& scicat() { return scicat_; }
   access::TiledService& tiled() { return tiled_; }
-  beamline::Detector& detector() { return detector_; }
   StreamingService& streaming() { return streaming_; }
-  hpc::WorkstationAdapter& workstation() { return workstation_; }
-  hpc::NerscSlurmAdapter& nersc_adapter() { return nersc_; }
-  hpc::AlcfGlobusComputeAdapter& alcf_adapter() { return alcf_; }
-  hpc::CloudBurstAdapter& cloud_adapter() { return cloud_; }
-  storage::StorageEndpoint& cloud_s3() { return cloud_s3_; }
-  net::Link& esnet_nersc() { return esnet_nersc_; }
-  net::Link& esnet_alcf() { return esnet_alcf_; }
-  net::Link& esnet_cloud() { return esnet_cloud_; }
-  net::Link& lan() { return lan_; }
-  sched::FacilityDirectory& directory() { return directory_; }
+  net::Link& esnet_nersc() { return sites_.esnet_nersc(); }
+  sched::FacilityDirectory& directory() { return sites_.directory(); }
   sched::FederatedScheduler& scheduler() { return scheduler_; }
+
+  // Bind every fault target: the sites, the LAN, Globus, the CFS / Eagle /
+  // cloud stores, and the flow engine + run database.
+  void bind_chaos(chaos::ChaosEngine& chaos);
 
   // Generate non-beamline Perlmutter load for `duration` (call once,
   // before driving scans, to model realistic realtime queue waits).
@@ -179,21 +174,15 @@ class Facility {
   // One remote reconstruction branch, as data: every facility's recon
   // flow is the same four-task shape (move raw out, reconstruct, move
   // products back, register provenance) over different endpoints, labels,
-  // and adapters. The route table replaced the hand-duplicated
-  // nersc_recon_flow / alcf_recon_flow pair and is what makes adding a
-  // facility (cloud) a table entry instead of a fourth copy.
+  // and adapters. The site's directory row supplies the flow name and the
+  // adapter; its name keys the work pool ("hpc-<site>"), the return label
+  // ("<site>:recon_back") and the beamline-side path ("/recon/<site>/").
   struct ReconRoute {
-    std::string facility;        // directory name ("nersc", "alcf", ...)
-    std::string flow_name;       // registered flow ("nersc_recon_flow", ...)
-    std::string pool;            // work pool ("hpc-nersc", ...)
+    const sched::FacilityInfo* site = nullptr;  // directory row
     storage::StorageEndpoint* remote = nullptr;  // facility-side store
-    hpc::ComputeAdapter* adapter = nullptr;
-    net::Link* link = nullptr;   // ESnet path (directory WAN estimate)
     std::string to_remote_task;  // task 1 name ("globus_to_cfs", ...)
     std::string recon_task;      // task 2 name ("sfapi_recon_job", ...)
     std::string out_label;       // transfer label ("nersc:raw_to_cfs", ...)
-    std::string back_label;      // transfer label ("nersc:recon_back", ...)
-    std::string back_prefix;     // beamline-side path ("/recon/nersc/", ...)
     // In-job CFS -> pscratch staging copy before the solver (NERSC only).
     bool stage_in_copy = false;
   };
@@ -224,29 +213,23 @@ class Facility {
   sim::Engine eng_;
   Rng rng_;
 
+  // Compute sites, their ESnet paths and the placement directory.
+  sched::Sites sites_;
+
   // Storage.
   storage::StorageEndpoint acq_server_;
   storage::StorageEndpoint beamline_data_;
   storage::StorageEndpoint cfs_;
   storage::StorageEndpoint eagle_;
   storage::StorageEndpoint hpss_;
+  storage::StorageEndpoint cloud_s3_;
 
-  // Network.
+  // Network (beamline-side; the WAN paths live in sites_).
   net::Link lan_;
-  net::Link esnet_nersc_;
-  net::Link esnet_alcf_;
   net::Link zmq_back_;
 
   // Movement.
   transfer::TransferService globus_;
-
-  // Compute.
-  hpc::SlurmCluster perlmutter_;
-  hpc::SfApiClient sfapi_;
-  hpc::NerscSlurmAdapter nersc_;
-  hpc::GlobusComputeEndpoint polaris_;
-  hpc::AlcfGlobusComputeAdapter alcf_;
-  hpc::WorkstationAdapter workstation_;
 
   // Orchestration + access.
   flow::RunDatabase db_;
@@ -271,15 +254,8 @@ class Facility {
   Bytes raw_bytes_ingested_ = 0;
   std::vector<ScanOutcome> outcomes_;
 
-  // Federated scheduling (none of these schedule simulation events at
-  // construction).
-  storage::StorageEndpoint cloud_s3_;
-  net::Link esnet_cloud_;
-  hpc::CloudBurstAdapter cloud_;
-  ReconRoute nersc_route_;
-  ReconRoute alcf_route_;
-  ReconRoute cloud_route_;
-  sched::FacilityDirectory directory_;
+  // Federated scheduling (no simulation events at construction).
+  std::array<ReconRoute, 3> routes_;  // nersc, alcf, cloud
   sched::FederatedScheduler scheduler_;
 };
 

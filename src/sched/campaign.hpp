@@ -2,14 +2,14 @@
 // scheduler decision per scan.
 //
 // FleetWorld builds the smallest world that exercises the whole sched
-// stack at scale: real facility components (Slurm + SFAPI behind the NERSC
-// adapter, a Globus Compute pilot pool behind the ALCF adapter, an elastic
-// cloud-burst adapter) shared by every beamline, one ESnet link per
-// facility, a FacilityDirectory over all of it, and a sched::Fleet with
-// one FlowEngine + RunDatabase shard per beamline. Each shard registers
-// the same three-task recon flow per facility (stage raw out -> reconstruct
-// -> stage products back), parameterized by scan id, with idempotency keys
-// so failover resubmission skips completed stages.
+// stack at scale: the sched::Sites that pipeline::Facility also embeds
+// (Slurm + SFAPI, a Globus Compute pilot pool, an elastic cloud-burst
+// adapter, one ESnet link per facility, the FacilityDirectory) and a
+// sched::Fleet with one FlowEngine + RunDatabase shard per beamline. Each
+// shard registers a three-task recon flow (stage raw out -> reconstruct ->
+// stage products back) under every row's "<site>_recon_flow" name,
+// parameterized by scan id, with idempotency keys so failover
+// resubmission skips completed stages.
 //
 // Every scan goes through its shard's FederatedScheduler under the
 // configured policy, the paper's baseline included: "static_dual" runs the
@@ -29,13 +29,11 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
-#include "hpc/adapter.hpp"
-#include "hpc/cloud.hpp"
-#include "net/link.hpp"
 #include "sched/directory.hpp"
 #include "sched/fleet.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/sites.hpp"
 #include "sim/engine.hpp"
 
 namespace alsflow::sched {
@@ -95,52 +93,24 @@ class FleetWorld {
 
   sim::Engine& engine() { return eng_; }
   Fleet& fleet() { return *fleet_; }
-  FacilityDirectory& directory() { return directory_; }
+  FacilityDirectory& directory() { return sites_.directory(); }
   chaos::ChaosEngine& chaos() { return chaos_; }
-  hpc::ComputeAdapter& nersc_adapter() { return nersc_; }
-  hpc::ComputeAdapter& alcf_adapter() { return alcf_; }
-  net::Link& esnet_nersc() { return esnet_nersc_; }
-  net::Link& esnet_alcf() { return esnet_alcf_; }
-
-  const ScanRequest& scan_for(const std::string& scan_id) const {
-    return scans_.at(scan_id);
-  }
 
  private:
-  // The per-facility recon flow body (stage out -> recon -> stage back),
-  // shared by all facilities via a route struct. Pointer parameters: the
-  // route and world outlive every flow run (astcheck coroutine-ref-param).
-  struct Route {
-    std::string facility;
-    hpc::ComputeAdapter* adapter = nullptr;
-    net::Link* link = nullptr;
-  };
-  sim::Future<Status> recon_flow(flow::FlowContext ctx, const Route* route);
+  // The per-facility recon flow body (stage out -> recon -> stage back)
+  // over one directory row's adapter and link. Pointer parameter: the row
+  // outlives every flow run (astcheck coroutine-ref-param).
+  sim::Future<Status> recon_flow(flow::FlowContext ctx,
+                                 const FacilityInfo* site);
   void register_shard_flows(flow::FlowEngine& flows);
 
   ScanRequest make_scan(Rng* rng, const std::string& beamline, int index);
 
   FleetCampaignConfig config_;
   sim::Engine eng_;
-
-  // Shared facilities.
-  hpc::SlurmCluster perlmutter_;
-  hpc::SfApiClient sfapi_;
-  hpc::NerscSlurmAdapter nersc_;
-  hpc::GlobusComputeEndpoint polaris_;
-  hpc::AlcfGlobusComputeAdapter alcf_;
-  hpc::CloudBurstAdapter cloud_;
-  net::Link esnet_nersc_;
-  net::Link esnet_alcf_;
-  net::Link esnet_cloud_;
-
-  FacilityDirectory directory_;
+  Sites sites_;  // shared by every beamline shard
   std::unique_ptr<Fleet> fleet_;
   chaos::ChaosEngine chaos_;
-
-  // One route per facility flow; stable addresses (flow lambdas hold
-  // pointers into these for the lifetime of the world).
-  std::vector<std::unique_ptr<Route>> routes_;
   std::map<std::string, ScanRequest> scans_;
 };
 

@@ -11,18 +11,17 @@ void FacilityDirectory::add(FacilityInfo info) {
   infos_.push_back(std::move(info));
 }
 
-bool FacilityDirectory::has(const std::string& facility) const {
+const FacilityInfo* FacilityDirectory::find(
+    const std::string& facility) const {
   for (const auto& info : infos_) {
-    if (info.name == facility) return true;
+    if (info.name == facility) return &info;
   }
-  return false;
+  return nullptr;
 }
 
 std::string FacilityDirectory::flow_for(const std::string& facility) const {
-  for (const auto& info : infos_) {
-    if (info.name == facility) return info.flow_name;
-  }
-  return "";
+  const FacilityInfo* info = find(facility);
+  return info != nullptr ? info->flow_name : "";
 }
 
 std::vector<FacilityState> FacilityDirectory::snapshot(Seconds now) const {

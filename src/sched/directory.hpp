@@ -65,7 +65,11 @@ class FacilityDirectory {
   void add(FacilityInfo info);
 
   const std::vector<FacilityInfo>& facilities() const { return infos_; }
-  bool has(const std::string& facility) const;
+  // The row for `facility` (nullptr if unknown); valid until the next add().
+  const FacilityInfo* find(const std::string& facility) const;
+  bool has(const std::string& facility) const {
+    return find(facility) != nullptr;
+  }
   // flow_name registered for `facility` ("" if unknown).
   std::string flow_for(const std::string& facility) const;
 

@@ -15,6 +15,11 @@ constexpr Seconds kSickTier = 1e12;
 // A registered-but-blacked-out WAN path prices the site as effectively
 // unreachable (worse than sick): the bytes cannot move at all right now.
 constexpr Seconds kUnreachable = 1e15;
+// Execute-time prior before a site has reported any completed jobs.
+constexpr Seconds kDefaultExec = 600.0;
+// A hedge fires once the primary has consumed this multiple of its own
+// predicted turnaround without completing.
+constexpr double kHedgeAfterFraction = 1.5;
 
 }  // namespace
 
@@ -58,7 +63,7 @@ Seconds GreedyPolicy::predicted_turnaround(const ScanRequest& scan,
   if (f.has_link) {
     if (f.link_bps <= 0.0) return kUnreachable;  // blackout
     transfer = (double(scan.raw_bytes) +
-                double(scan.recon_bytes) * cfg_.product_factor) /
+                double(scan.recon_bytes) * kProductFactor) /
                    f.link_bps +
                2.0 * f.link_latency;
   }
@@ -66,7 +71,7 @@ Seconds GreedyPolicy::predicted_turnaround(const ScanRequest& scan,
   // already routed here that the site's capacity cannot absorb costs one
   // more execute slot (join-shortest-queue, expressed in seconds).
   const Seconds exec =
-      f.queue.exec_mean > 0.0 ? f.queue.exec_mean : cfg_.default_exec;
+      f.queue.exec_mean > 0.0 ? f.queue.exec_mean : kDefaultExec;
   const double backlog =
       double(std::max(f.queue.inflight, f.inflight_placements));
   const Seconds congestion = exec * backlog / std::max(1.0, f.capacity_hint);
@@ -124,7 +129,7 @@ Placement HedgedPolicy::place(const ScanRequest& scan,
   if (scan.deadline > 0.0 && r.runner_up >= 0 &&
       r.runner_rank < kUnreachable) {
     p.hedge = facilities[std::size_t(r.runner_up)].name;
-    Seconds delay = r.best_rank * cfg_.hedge_after_fraction;
+    Seconds delay = r.best_rank * kHedgeAfterFraction;
     // Leave the backup enough runway to beat the deadline.
     const Seconds runway = scan.deadline - r.runner_rank;
     if (runway > 0.0) delay = std::min(delay, runway);

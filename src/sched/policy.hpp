@@ -34,12 +34,16 @@
 
 namespace alsflow::sched {
 
+// Reconstruction products (TIFF stack + Zarr pyramid) relative to the
+// base recon volume: what a facility writes and moves back per scan.
+inline constexpr double kProductFactor = 1.3;
+
 // One scan, as the scheduler sees it: identity plus the size and shape
 // parameters the placement cost model needs.
 struct ScanRequest {
   std::string scan_id;
   Bytes raw_bytes = 0;      // moved to the facility
-  Bytes recon_bytes = 0;    // base product size (x1.3 moved back)
+  Bytes recon_bytes = 0;    // base product size (x kProductFactor back)
   std::size_t nz = 0;       // output slices (execute-time estimate)
   std::size_t n = 0;        // slice edge
   Seconds deadline = 0.0;   // <= 0: no deadline (hedging disabled)
@@ -91,11 +95,6 @@ struct GreedyConfig {
   // is below it, in which case the least-bad available site is used —
   // refusing to place at all loses scans).
   double min_health = 0.35;
-  // Product volume moved back relative to recon_bytes (TIFF + Zarr
-  // pyramid overhead, matching the pipeline's 1.3x).
-  double product_factor = 1.3;
-  // Execute-time prior before a site has reported any completed jobs.
-  Seconds default_exec = 600.0;
 };
 
 class GreedyPolicy : public PlacementPolicy {
@@ -128,9 +127,6 @@ class GreedyPolicy : public PlacementPolicy {
 
 struct HedgedConfig {
   GreedyConfig greedy;
-  // Hedge fires when the primary has consumed this fraction of its own
-  // predicted turnaround without completing.
-  double hedge_after_fraction = 1.5;
   Seconds min_hedge_delay = 120.0;
 };
 

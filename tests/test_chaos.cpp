@@ -51,16 +51,7 @@ struct Rig {
 
   explicit Rig(std::uint64_t seed = 42)
       : fac(make_config(seed)), chaos(fac.engine()) {
-    chaos.bind_link(&fac.lan());
-    chaos.bind_link(&fac.esnet_nersc());
-    chaos.bind_link(&fac.esnet_alcf());
-    chaos.bind_adapter(&fac.nersc_adapter());
-    chaos.bind_adapter(&fac.alcf_adapter());
-    chaos.bind_transfer(&fac.globus());
-    chaos.bind_endpoint(&fac.cfs());
-    chaos.bind_endpoint(&fac.eagle());
-    chaos.bind_flow_engine(&fac.flows());
-    chaos.bind_run_db(&fac.run_db());
+    fac.bind_chaos(chaos);
   }
 
   static FacilityConfig make_config(std::uint64_t seed) {
@@ -439,6 +430,29 @@ TEST(ChaosEngineUnit, UnboundTargetIsSkippedNotFatal) {
   ASSERT_EQ(rig.chaos.log().size(), 2u);  // apply + revert, both skipped
   EXPECT_FALSE(rig.chaos.log()[0].applied);
   EXPECT_EQ(rig.chaos.applied_count(), 0u);
+}
+
+TEST(ChaosEngineUnit, FacilityBindsTheCloudSite) {
+  // Facility::bind_chaos binds every site of the shared site model, so the
+  // cloud burst pool is a fault target like NERSC and ALCF.
+  Rig rig;
+  Scenario s;
+  s.name = "cloud_region_outage";
+  s.events = {{FaultKind::FacilityOutage, 10.0, 20.0, "cloud", 0.0}};
+  rig.chaos.arm(s);
+  bool cloud_available_mid_window = true;
+  rig.fac.engine().schedule_at(20.0, [&rig, &cloud_available_mid_window] {
+    for (const auto& site : rig.fac.directory().snapshot(20.0)) {
+      if (site.name == "cloud") cloud_available_mid_window = site.available;
+    }
+  });
+  auto outcomes = rig.run_scans(1, kInterval);
+  expect_all_completed(outcomes);
+  ASSERT_EQ(rig.chaos.log().size(), 2u);  // apply + revert
+  EXPECT_EQ(rig.chaos.log()[0].target, "cloud");
+  EXPECT_TRUE(rig.chaos.log()[0].applied);
+  EXPECT_EQ(rig.chaos.applied_count(), 1u);
+  EXPECT_FALSE(cloud_available_mid_window);
 }
 
 }  // namespace

@@ -383,6 +383,33 @@ TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
   EXPECT_EQ(fac.scheduler().scans_lost(), 0u);
 }
 
+TEST(FacilityScheduled, BothWorldsShareOneSiteModel) {
+  // Facility and FleetWorld embed the same sched::Sites: the scheduler in
+  // either world places onto identical directory rows.
+  pipeline::Facility fac;
+  FleetWorld world;
+  const auto& fac_rows = fac.directory().facilities();
+  const auto& fleet_rows = world.directory().facilities();
+  ASSERT_EQ(fac_rows.size(), 3u);
+  ASSERT_EQ(fleet_rows.size(), fac_rows.size());
+  const char* names[] = {"nersc", "alcf", "cloud"};
+  for (std::size_t i = 0; i < fac_rows.size(); ++i) {
+    const FacilityInfo& a = fac_rows[i];
+    const FacilityInfo& b = fleet_rows[i];
+    EXPECT_EQ(a.name, names[i]);
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(a.flow_name, a.name + "_recon_flow");
+    EXPECT_EQ(b.flow_name, a.flow_name);
+    EXPECT_EQ(b.capacity_hint, a.capacity_hint) << a.name;
+    ASSERT_NE(a.link, nullptr);
+    ASSERT_NE(b.link, nullptr);
+    EXPECT_EQ(a.link->name(), "esnet-" + a.name);
+    EXPECT_EQ(b.link->name(), a.link->name());
+    EXPECT_EQ(b.link->bandwidth(), a.link->bandwidth()) << a.name;
+    EXPECT_EQ(b.link->latency(), a.link->latency()) << a.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fleet campaigns
 // ---------------------------------------------------------------------------
@@ -469,7 +496,7 @@ TEST(FleetMergedQueries, MatchUnshardedDatabaseExactly) {
 
   Fleet& fleet = world.fleet();
   const std::size_t kAll = 1u << 20;  // cover every run
-  for (const char* flow_name : {"recon_nersc", "recon_alcf"}) {
+  for (const char* flow_name : {"nersc_recon_flow", "alcf_recon_flow"}) {
     // Rebuild one unsharded database holding the same completed runs, in
     // the merge's global completion order, and ask it the Table-2 query.
     std::vector<flow::FlowRunRecord> recs;
