@@ -4,13 +4,23 @@
 
 namespace alsflow::beamline {
 
+namespace {
+
+constexpr double kWriteRate = 1.2e9;   // beamline server sequential write
+constexpr const char* kRawPrefix = "/raw/";  // destination directory
+
+}  // namespace
+
 FileWriterService::FileWriterService(sim::Engine& eng,
                                      net::Channel<FrameBatch>& mirror,
-                                     storage::StorageEndpoint& dest,
-                                     Config config)
-    : eng_(eng), dest_(dest), config_(config) {
+                                     storage::StorageEndpoint& dest)
+    : eng_(eng), dest_(dest) {
   sub_ = mirror.subscribe();
   pump().detach();
+}
+
+std::string FileWriterService::path_for(const data::ScanMetadata& scan) const {
+  return kRawPrefix + scan.scan_id + ".ah5";
 }
 
 void FileWriterService::begin_scan(const data::ScanMetadata& scan) {
@@ -67,7 +77,7 @@ sim::Proc FileWriterService::pump() {
 sim::Proc FileWriterService::finalize(InProgress state) {
   // Reference frames (darks/flats) are appended to the file.
   const Bytes total = state.scan.raw_bytes();
-  co_await sim::delay(eng_, double(total) / config_.write_rate);
+  co_await sim::delay(eng_, double(total) / kWriteRate);
 
   const std::string path = path_for(state.scan);
   state.scan.acquired_at = eng_.now();

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "beamline/frames.hpp"
@@ -21,20 +22,13 @@
 
 namespace alsflow::beamline {
 
-struct FileWriterConfig {
-  double write_rate = 1.2e9;           // beamline server sequential write
-  std::string raw_prefix = "/raw/";    // destination directory
-};
-
 class FileWriterService {
  public:
-  using Config = FileWriterConfig;
-
   using CompletionCallback =
       std::function<void(const data::ScanMetadata&, const std::string& path)>;
 
   FileWriterService(sim::Engine& eng, net::Channel<FrameBatch>& mirror,
-                    storage::StorageEndpoint& dest, Config config = {});
+                    storage::StorageEndpoint& dest);
 
   // Announce an upcoming acquisition; batches for unannounced scans are
   // rejected and counted as validation errors.
@@ -48,9 +42,7 @@ class FileWriterService {
   std::size_t validation_errors() const { return validation_errors_; }
 
   // Path the writer uses for a scan.
-  std::string path_for(const data::ScanMetadata& scan) const {
-    return config_.raw_prefix + scan.scan_id + ".ah5";
-  }
+  std::string path_for(const data::ScanMetadata& scan) const;
 
  private:
   struct InProgress {
@@ -66,7 +58,6 @@ class FileWriterService {
 
   sim::Engine& eng_;
   storage::StorageEndpoint& dest_;
-  Config config_;
   std::shared_ptr<net::Subscription<FrameBatch>> sub_;
   std::map<std::string, InProgress> active_;
   std::vector<CompletionCallback> callbacks_;

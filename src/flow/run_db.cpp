@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <iterator>
 
 #include "common/telemetry.hpp"
 
@@ -24,6 +25,44 @@ bool is_terminal(RunState s) {
   return s == RunState::Completed || s == RunState::Failed ||
          s == RunState::Cancelled;
 }
+
+namespace {
+
+// Table-2 histogram bounds: geometric, spanning sub-second staging steps
+// to hour-long HPC waits; the interpolated estimate is exact within a
+// bucket's span. The single-database and merged queries share them, so a
+// merged shard set reproduces the unsharded numbers exactly.
+constexpr double kTable2Buckets[] = {0.5, 1,   2,   5,    10,   20,   40,
+                                     80,  160, 320, 640, 1280, 2560, 5120};
+
+// Durations of the last `last_n` (finished_at, duration) samples.
+std::vector<double> last_durations(
+    const std::vector<std::pair<Seconds, double>>& samples,
+    std::size_t last_n) {
+  const std::size_t start =
+      samples.size() > last_n ? samples.size() - last_n : 0;
+  std::vector<double> durations;
+  for (std::size_t i = start; i < samples.size(); ++i) {
+    durations.push_back(samples[i].second);
+  }
+  return durations;
+}
+
+RunDatabase::TaskQuantiles table2_quantiles(
+    const std::vector<double>& durations) {
+  RunDatabase::TaskQuantiles q;
+  q.n = durations.size();
+  if (q.n == 0) return q;
+  telemetry::Histogram hist(std::vector<double>(std::begin(kTable2Buckets),
+                                                std::end(kTable2Buckets)));
+  for (double d : durations) hist.observe(d);
+  q.p50 = hist.quantile(0.50);
+  q.p95 = hist.quantile(0.95);
+  q.p99 = hist.quantile(0.99);
+  return q;
+}
+
+}  // namespace
 
 std::string RunDatabase::create_run(const std::string& flow_name, Seconds now,
                                     std::string parameters) {
@@ -149,64 +188,9 @@ std::vector<TaskRunRecord> RunDatabase::tasks(
   return out;
 }
 
-Summary RunDatabase::task_duration_summary(const std::string& flow_name,
-                                           const std::string& task_name,
-                                           std::size_t last_n) const {
-  LockGuard lock(mu_);
-  std::vector<double> durations;
-  for (const auto& t : task_runs_) {
-    if (t.task_name != task_name) continue;
-    if (t.state != RunState::Completed) continue;
-    if (t.started_at < 0.0 || t.finished_at < 0.0) continue;
-    if (!flow_name.empty()) {
-      auto it = runs_.find(t.flow_run_id);
-      if (it == runs_.end() || it->second.flow_name != flow_name) continue;
-    }
-    durations.push_back(t.finished_at - t.started_at);
-  }
-  if (durations.size() > last_n) {
-    durations.erase(durations.begin(),
-                    durations.end() - std::ptrdiff_t(last_n));
-  }
-  return summarize(std::move(durations));
-}
-
-RunDatabase::TaskQuantiles RunDatabase::task_duration_quantiles(
-    const std::string& flow_name, const std::string& task_name,
-    std::size_t last_n) const {
-  LockGuard lock(mu_);
-  std::vector<double> durations;
-  for (const auto& t : task_runs_) {
-    if (t.task_name != task_name) continue;
-    if (t.state != RunState::Completed) continue;
-    if (t.started_at < 0.0 || t.finished_at < 0.0) continue;
-    if (!flow_name.empty()) {
-      auto it = runs_.find(t.flow_run_id);
-      if (it == runs_.end() || it->second.flow_name != flow_name) continue;
-    }
-    durations.push_back(t.finished_at - t.started_at);
-  }
-  if (durations.size() > last_n) {
-    durations.erase(durations.begin(),
-                    durations.end() - std::ptrdiff_t(last_n));
-  }
-  TaskQuantiles q;
-  q.n = durations.size();
-  if (q.n == 0) return q;
-  // Geometric bounds spanning sub-second staging steps to hour-long HPC
-  // waits; the interpolated estimate is exact within a bucket's span.
-  telemetry::Histogram hist(
-      {0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
-  for (double d : durations) hist.observe(d);
-  q.p50 = hist.quantile(0.50);
-  q.p95 = hist.quantile(0.95);
-  q.p99 = hist.quantile(0.99);
-  return q;
-}
-
-std::vector<std::pair<Seconds, double>> RunDatabase::completed_task_durations(
+std::vector<std::pair<Seconds, double>>
+RunDatabase::completed_task_durations_locked(
     const std::string& flow_name, const std::string& task_name) const {
-  LockGuard lock(mu_);
   std::vector<std::pair<Seconds, double>> out;
   for (const auto& t : task_runs_) {
     if (t.task_name != task_name) continue;
@@ -219,6 +203,28 @@ std::vector<std::pair<Seconds, double>> RunDatabase::completed_task_durations(
     out.emplace_back(t.finished_at, t.finished_at - t.started_at);
   }
   return out;
+}
+
+Summary RunDatabase::task_duration_summary(const std::string& flow_name,
+                                           const std::string& task_name,
+                                           std::size_t last_n) const {
+  LockGuard lock(mu_);
+  return summarize(last_durations(
+      completed_task_durations_locked(flow_name, task_name), last_n));
+}
+
+RunDatabase::TaskQuantiles RunDatabase::task_duration_quantiles(
+    const std::string& flow_name, const std::string& task_name,
+    std::size_t last_n) const {
+  LockGuard lock(mu_);
+  return table2_quantiles(last_durations(
+      completed_task_durations_locked(flow_name, task_name), last_n));
+}
+
+std::vector<std::pair<Seconds, double>> RunDatabase::completed_task_durations(
+    const std::string& flow_name, const std::string& task_name) const {
+  LockGuard lock(mu_);
+  return completed_task_durations_locked(flow_name, task_name);
 }
 
 std::vector<std::string> RunDatabase::task_names(
@@ -279,24 +285,7 @@ RunDatabase::TaskQuantiles merged_task_duration_quantiles(
     }
   }
   std::sort(samples.begin(), samples.end());
-  std::vector<double> durations;
-  const std::size_t start =
-      samples.size() > last_n ? samples.size() - last_n : 0;
-  for (std::size_t i = start; i < samples.size(); ++i) {
-    durations.push_back(samples[i].second);
-  }
-  RunDatabase::TaskQuantiles q;
-  q.n = durations.size();
-  if (q.n == 0) return q;
-  // Identical bucket geometry to the single-DB query, so a merged shard
-  // set reproduces the unsharded golden numbers exactly.
-  telemetry::Histogram hist(
-      {0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
-  for (double d : durations) hist.observe(d);
-  q.p50 = hist.quantile(0.50);
-  q.p95 = hist.quantile(0.95);
-  q.p99 = hist.quantile(0.99);
-  return q;
+  return table2_quantiles(last_durations(samples, last_n));
 }
 
 }  // namespace alsflow::flow

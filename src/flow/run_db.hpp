@@ -152,6 +152,9 @@ class RunDatabase {
   std::vector<FlowRunRecord> runs_in_state_locked(
       const std::string& flow_name, RunState state) const
       ALSFLOW_REQUIRES(mu_);
+  std::vector<std::pair<Seconds, double>> completed_task_durations_locked(
+      const std::string& flow_name, const std::string& task_name) const
+      ALSFLOW_REQUIRES(mu_);
 
   mutable Mutex mu_{LockRank::kFlowRunDb, "flow.run_db"};
   std::map<std::string, FlowRunRecord> runs_ ALSFLOW_GUARDED_BY(mu_);

@@ -7,6 +7,17 @@
 
 namespace alsflow::hpc {
 
+namespace {
+
+// NERSC job shape: podman-hpc image spin-up before the recon runs, and a
+// walltime request of twice the estimate, never under the paper's
+// 15-minute window.
+constexpr Seconds kNerscContainerStartup = 20.0;
+constexpr Seconds kNerscMinWalltime = minutes(15);
+constexpr double kNerscWalltimeMargin = 2.0;
+
+}  // namespace
+
 void ComputeAdapter::set_available(bool up) {
   if (up == available_) return;
   available_ = up;
@@ -131,15 +142,15 @@ sim::Future<ReconJobOutcome> NerscSlurmAdapter::run_impl(ReconJob job) {
   const Seconds compute = model_.recon_seconds(
       Device::CpuNode128, job.algorithm, job.nz, job.n, job.n_iterations);
   const Seconds duration =
-      tuning_.container_startup + job.staging_seconds + compute;
+      kNerscContainerStartup + job.staging_seconds + compute;
 
   JobSpec spec;
   spec.name = job.name;
-  spec.qos = tuning_.qos;
+  spec.qos = Qos::Realtime;
   spec.nodes = 1;  // exclusive full CPU node
   spec.duration = duration;
   spec.walltime_limit =
-      std::max(tuning_.min_walltime, duration * tuning_.walltime_margin);
+      std::max(kNerscMinWalltime, duration * kNerscWalltimeMargin);
 
   auto submitted = co_await sfapi_.submit_job(std::move(spec));
   if (!submitted.ok()) {

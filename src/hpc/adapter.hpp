@@ -130,21 +130,11 @@ class ComputeAdapter {
   sim::Event<sim::Unit> gate_;
 };
 
-struct NerscAdapterTuning {
-  Qos qos = Qos::Realtime;
-  Seconds container_startup = 20.0;   // podman-hpc image spin-up
-  Seconds min_walltime = minutes(15); // paper: >= 15-minute window
-  double walltime_margin = 2.0;       // request margin x estimate
-};
-
 // NERSC: SFAPI -> Slurm, realtime QOS, exclusive 128-core CPU node.
 class NerscSlurmAdapter : public ComputeAdapter {
  public:
-  using Tuning = NerscAdapterTuning;
-
-  NerscSlurmAdapter(sim::Engine& eng, SfApiClient& sfapi, ComputeModel model,
-                    Tuning tuning = {})
-      : eng_(eng), sfapi_(sfapi), model_(model), tuning_(tuning) {}
+  NerscSlurmAdapter(sim::Engine& eng, SfApiClient& sfapi, ComputeModel model)
+      : eng_(eng), sfapi_(sfapi), model_(model) {}
 
   std::string facility() const override { return "nersc"; }
 
@@ -155,7 +145,6 @@ class NerscSlurmAdapter : public ComputeAdapter {
   sim::Engine& eng_;
   SfApiClient& sfapi_;
   ComputeModel model_;
-  Tuning tuning_;
 };
 
 // ALCF: Globus Compute pilot endpoint on Polaris (demand queue).

@@ -15,18 +15,10 @@
 
 namespace alsflow::hpc {
 
-struct CloudTuning {
-  Seconds boot_latency = 120.0;     // image pull + instance start
-  double instance_speedup = 0.75;   // vs the Perlmutter CPU node
-  double dollars_per_hour = 4.9;    // on-demand compute-optimized rate
-  double dollars_per_gb_egress = 0.09;
-};
-
 class CloudBurstAdapter : public ComputeAdapter {
  public:
-  CloudBurstAdapter(sim::Engine& eng, ComputeModel model,
-                    CloudTuning tuning = {})
-      : eng_(eng), model_(model), tuning_(tuning) {}
+  CloudBurstAdapter(sim::Engine& eng, ComputeModel model)
+      : eng_(eng), model_(model) {}
 
   std::string facility() const override { return "cloud"; }
 
@@ -35,9 +27,7 @@ class CloudBurstAdapter : public ComputeAdapter {
 
   // Egress cost of returning `bytes` of products (charged by run()
   // callers that move data out; exposed for the economics report).
-  double egress_cost(Bytes bytes) const {
-    return double(bytes) / 1e9 * tuning_.dollars_per_gb_egress;
-  }
+  double egress_cost(Bytes bytes) const;
 
  protected:
   sim::Future<ReconJobOutcome> run_impl(ReconJob job) override;
@@ -45,7 +35,6 @@ class CloudBurstAdapter : public ComputeAdapter {
  private:
   sim::Engine& eng_;
   ComputeModel model_;
-  CloudTuning tuning_;
   std::size_t instances_ = 0;
   double dollars_ = 0.0;
 };

@@ -479,13 +479,7 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
   outcome.new_file_status = new_file.status;
 
   if (options.reconstruct) {
-    sched::ScanRequest req;
-    req.scan_id = scan.scan_id;
-    req.raw_bytes = scan.raw_bytes();
-    req.recon_bytes = scan.recon_bytes();
-    req.nz = scan.rows;
-    req.n = scan.cols;
-    req.deadline = options.deadline;
+    sched::ScanRequest req = sched::make_request(scan, options.deadline);
     outcome.sched = co_await scheduler_.submit(std::move(req));
     const auto& attempts = outcome.sched->attempts;
     if (options.archive &&

@@ -105,17 +105,16 @@ ScanRequest FleetWorld::make_scan(Rng* rng, const std::string& beamline,
   // not arrival cadence — bounds the campaign.
   static constexpr std::size_t kNz[] = {384, 512, 640};
   static constexpr std::size_t kN[] = {1024, 1280, 1536};
-  ScanRequest s;
-  s.scan_id = beamline + "-scan-" + std::to_string(index);
-  s.nz = kNz[std::size_t(rng->uniform_int(0, 2))];
-  s.n = kN[std::size_t(rng->uniform_int(0, 2))];
-  const std::size_t n_angles = (3 * s.n) / 2;
-  s.raw_bytes = Bytes(n_angles + 20) * s.nz * s.n * 2;
-  s.recon_bytes = Bytes(s.nz) * s.n * s.n * 4;
-  if (config_.deadline_every > 0 && index % config_.deadline_every == 0) {
-    s.deadline = config_.deadline;
-  }
-  return s;
+  // 16-bit frames, 1.5 projections per column, one slice per row.
+  data::ScanMetadata m;
+  m.scan_id = beamline + "-scan-" + std::to_string(index);
+  m.rows = kNz[std::size_t(rng->uniform_int(0, 2))];
+  m.cols = kN[std::size_t(rng->uniform_int(0, 2))];
+  m.n_angles = (3 * m.cols) / 2;
+  m.bit_depth = 16;
+  const bool has_deadline =
+      config_.deadline_every > 0 && index % config_.deadline_every == 0;
+  return make_request(m, has_deadline ? config_.deadline : 0.0);
 }
 
 FleetCampaignReport FleetWorld::run() {

@@ -27,16 +27,11 @@ Fleet::Shard& Fleet::add_shard(std::string beamline) {
   return ref;
 }
 
-Fleet::Shard* Fleet::shard(const std::string& beamline) {
-  auto it = by_name_.find(beamline);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
 sim::Future<ScanResult> Fleet::submit(const std::string& beamline,
                                       ScanRequest scan) {
-  Shard* s = shard(beamline);
-  assert(s != nullptr && "submit to unknown beamline shard");
-  return s->scheduler->submit(std::move(scan));
+  auto it = by_name_.find(beamline);
+  assert(it != by_name_.end() && "submit to unknown beamline shard");
+  return it->second->scheduler->submit(std::move(scan));
 }
 
 std::vector<const flow::RunDatabase*> Fleet::run_dbs() const {
@@ -44,18 +39,6 @@ std::vector<const flow::RunDatabase*> Fleet::run_dbs() const {
   dbs.reserve(shards_.size());
   for (const auto& s : shards_) dbs.push_back(s->db.get());
   return dbs;
-}
-
-Summary Fleet::merged_duration_summary(const std::string& flow_name,
-                                       std::size_t last_n) const {
-  return flow::merged_duration_summary(run_dbs(), flow_name, last_n);
-}
-
-flow::RunDatabase::TaskQuantiles Fleet::merged_task_duration_quantiles(
-    const std::string& flow_name, const std::string& task_name,
-    std::size_t last_n) const {
-  return flow::merged_task_duration_quantiles(run_dbs(), flow_name, task_name,
-                                              last_n);
 }
 
 std::map<std::string, std::size_t> Fleet::placements() const {
@@ -66,18 +49,6 @@ std::map<std::string, std::size_t> Fleet::placements() const {
     }
   }
   return out;
-}
-
-std::size_t Fleet::scans_completed() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->scheduler->scans_completed();
-  return n;
-}
-
-std::size_t Fleet::scans_lost() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->scheduler->scans_lost();
-  return n;
 }
 
 std::size_t Fleet::failovers() const {

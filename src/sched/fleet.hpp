@@ -52,28 +52,16 @@ class Fleet {
   // std::invalid_argument on an unknown policy name.
   Shard& add_shard(std::string beamline);
 
-  Shard* shard(const std::string& beamline);
-  const std::vector<std::unique_ptr<Shard>>& shards() const {
-    return shards_;
-  }
-  std::size_t size() const { return shards_.size(); }
-
   // Submit a scan on its beamline's shard.
   sim::Future<ScanResult> submit(const std::string& beamline,
                                  ScanRequest scan);
 
-  // --- fleet-wide merged queries ----------------------------------------
+  // Every shard's run database, in shard order: the input to the merged
+  // query path (flow::merged_duration_summary and friends).
   std::vector<const flow::RunDatabase*> run_dbs() const;
-  Summary merged_duration_summary(const std::string& flow_name,
-                                  std::size_t last_n) const;
-  flow::RunDatabase::TaskQuantiles merged_task_duration_quantiles(
-      const std::string& flow_name, const std::string& task_name,
-      std::size_t last_n = 100) const;
 
   // --- fleet-wide campaign accounting -----------------------------------
   std::map<std::string, std::size_t> placements() const;
-  std::size_t scans_completed() const;
-  std::size_t scans_lost() const;
   std::size_t failovers() const;
   std::size_t hedges_launched() const;
 

@@ -15,13 +15,30 @@ constexpr Seconds kSickTier = 1e12;
 // A registered-but-blacked-out WAN path prices the site as effectively
 // unreachable (worse than sick): the bytes cannot move at all right now.
 constexpr Seconds kUnreachable = 1e15;
+// Sites below this health score rank behind every healthy one (unless
+// every site is below it, in which case the least-bad available site is
+// used — refusing to place at all loses scans).
+constexpr double kMinHealth = 0.35;
 // Execute-time prior before a site has reported any completed jobs.
 constexpr Seconds kDefaultExec = 600.0;
 // A hedge fires once the primary has consumed this multiple of its own
 // predicted turnaround without completing.
 constexpr double kHedgeAfterFraction = 1.5;
+// ...but never sooner than this after the primary launched.
+constexpr Seconds kMinHedgeDelay = 120.0;
 
 }  // namespace
+
+ScanRequest make_request(const data::ScanMetadata& scan, Seconds deadline) {
+  ScanRequest req;
+  req.scan_id = scan.scan_id;
+  req.raw_bytes = scan.raw_bytes();
+  req.recon_bytes = scan.recon_bytes();
+  req.nz = scan.rows;
+  req.n = scan.cols;
+  req.deadline = deadline;
+  return req;
+}
 
 Placement StaticDualPolicy::place(
     const ScanRequest& scan, const std::vector<FacilityState>& facilities) {
@@ -90,7 +107,7 @@ GreedyPolicy::Ranking GreedyPolicy::rank(
     const FacilityState& f = facilities[i];
     if (!f.available) continue;
     Seconds rank = predicted_turnaround(scan, f);
-    if (f.health < cfg_.min_health) rank += kSickTier;
+    if (f.health < kMinHealth) rank += kSickTier;
     if (r.best < 0 || rank < r.best_rank) {
       r.runner_up = r.best;
       r.runner_rank = r.best_rank;
@@ -133,7 +150,7 @@ Placement HedgedPolicy::place(const ScanRequest& scan,
     // Leave the backup enough runway to beat the deadline.
     const Seconds runway = scan.deadline - r.runner_rank;
     if (runway > 0.0) delay = std::min(delay, runway);
-    p.hedge_delay = std::max(delay, cfg_.min_hedge_delay);
+    p.hedge_delay = std::max(delay, kMinHedgeDelay);
     p.reason += " hedge " + p.hedge;
   }
   return p;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "data/scan_meta.hpp"
 #include "sched/directory.hpp"
 
 namespace alsflow::sched {
@@ -48,6 +49,10 @@ struct ScanRequest {
   std::size_t n = 0;        // slice edge
   Seconds deadline = 0.0;   // <= 0: no deadline (hedging disabled)
 };
+
+// The scheduler's view of an acquisition: sizes from the scan's own
+// raw/recon byte model, one output slice per detector row, cols-wide.
+ScanRequest make_request(const data::ScanMetadata& scan, Seconds deadline);
 
 struct Placement {
   std::string primary;        // "" = nothing placeable right now
@@ -90,17 +95,8 @@ class RoundRobinPolicy : public PlacementPolicy {
   std::size_t cursor_ = 0;
 };
 
-struct GreedyConfig {
-  // Sites below this health score are not considered (unless every site
-  // is below it, in which case the least-bad available site is used —
-  // refusing to place at all loses scans).
-  double min_health = 0.35;
-};
-
 class GreedyPolicy : public PlacementPolicy {
  public:
-  explicit GreedyPolicy(GreedyConfig cfg = {}) : cfg_(cfg) {}
-
   std::string name() const override { return "greedy"; }
   Placement place(const ScanRequest& scan,
                   const std::vector<FacilityState>& facilities) override;
@@ -120,28 +116,16 @@ class GreedyPolicy : public PlacementPolicy {
   };
   Ranking rank(const ScanRequest& scan,
                const std::vector<FacilityState>& facilities) const;
-
- private:
-  GreedyConfig cfg_;
-};
-
-struct HedgedConfig {
-  GreedyConfig greedy;
-  Seconds min_hedge_delay = 120.0;
 };
 
 // Greedy placement plus a runner-up hedge for deadline scans.
 class HedgedPolicy : public PlacementPolicy {
  public:
-  explicit HedgedPolicy(HedgedConfig cfg = {})
-      : cfg_(cfg), greedy_(cfg.greedy) {}
-
   std::string name() const override { return "hedged"; }
   Placement place(const ScanRequest& scan,
                   const std::vector<FacilityState>& facilities) override;
 
  private:
-  HedgedConfig cfg_;
   GreedyPolicy greedy_;
 };
 

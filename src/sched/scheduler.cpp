@@ -1,3 +1,7 @@
+// FederatedScheduler: the PLACE/RACE loop of DESIGN.md §17 (state machine
+// in scheduler.hpp). Every RACE step is one sim::first_ready over the
+// attempts still in flight, bounded by the hedge delay or the failover
+// timeout.
 #include "sched/scheduler.hpp"
 
 #include <memory>
@@ -6,56 +10,7 @@
 
 namespace alsflow::sched {
 
-namespace {
-
-// Race any number of flow-run states against a timer. Resolves with the
-// index of the first state to become ready, or -1 if `window` elapses
-// first (the runs keep going either way — the caller owns their futures).
-//
-// Unlike sim::with_timeout this races N states, so the one-shot trigger
-// needs an explicit fired-guard: two states resolving in the same event
-// cascade would otherwise both call trigger() and trip the
-// resolved-twice assert.
 using RunState_ = std::shared_ptr<sim::SharedState<flow::FlowRunResult>>;
-
-sim::Future<int> await_any_impl(sim::Engine* eng, std::vector<RunState_> states,
-                                Seconds window) {
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    if (states[i]->ready()) co_return int(i);
-  }
-  sim::Event<int> ev;
-  auto fired = std::make_shared<bool>(false);
-  std::vector<std::uint64_t> tokens(states.size(), 0);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    tokens[i] = states[i]->add_callback([fired, ev, i] {
-      if (*fired) return;
-      *fired = true;
-      sim::Event<int> e = ev;  // shared state; trigger resumes the racer
-      e.trigger(int(i));
-    });
-  }
-  sim::EventId timer = eng->schedule_in(window, [fired, ev] {
-    if (*fired) return;
-    *fired = true;
-    sim::Event<int> e = ev;
-    e.trigger(-1);
-  });
-  int winner = co_await ev;
-  if (winner >= 0) eng->cancel(timer);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    if (int(i) == winner) continue;  // winner's callback was consumed
-    states[i]->remove_callback(tokens[i]);
-  }
-  co_return winner;
-}
-
-inline sim::Future<int> await_any(sim::Engine* eng,
-                                  std::vector<RunState_> states,
-                                  Seconds window) {
-  return await_any_impl(eng, std::move(states), window);
-}
-
-}  // namespace
 
 FederatedScheduler::FederatedScheduler(sim::Engine& eng,
                                        flow::FlowEngine& flows,
@@ -81,7 +36,6 @@ sim::Future<flow::FlowRunResult> FederatedScheduler::launch(
 }
 
 sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
-  ++submitted_;
   ScanResult res;
   res.scan_id = scan.scan_id;
   res.submitted_at = eng_.now();
@@ -92,8 +46,8 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
 
   std::set<std::string> tried;
   int launches = 0;
-  bool join_all = false;    // see Placement::join
-  bool branches_ok = true;  // join-all: every resolved branch completed
+  bool join_branches = false;  // see Placement::join
+  bool branches_ok = true;     // join-all: every resolved branch completed
   bool hedge_armed = false;
   std::string pending_hedge;
   Seconds hedge_delay = 0.0;
@@ -132,7 +86,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
         ++failovers_;
         res.failed_over = true;
       }
-      join_all = !p.join.empty();
+      join_branches = !p.join.empty();
       for (const std::string& facility : p.join) {
         start(facility, /*is_hedge=*/false, /*is_failover=*/false);
       }
@@ -146,7 +100,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
 
     // RACE the outstanding attempts against the active window.
     const Seconds window = hedge_armed ? hedge_delay : cfg_.failover_timeout;
-    int winner = co_await await_any(&eng_, states, window);
+    int winner = co_await sim::first_ready(eng_, states, window);
 
     if (winner < 0) {
       // Window expired with everything still in flight.
@@ -164,7 +118,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
       // reachable site and keep racing the stalled attempt; resubmission
       // is safe because facility flows carry idempotency keys. A join-all
       // placement never fails over: every branch runs to its end.
-      if (join_all || launches >= cfg_.max_attempts) continue;
+      if (join_branches || launches >= cfg_.max_attempts) continue;
       auto snap = dir_.snapshot(eng_.now());
       std::vector<FacilityState> untried;
       for (auto& f : snap) {
@@ -205,8 +159,8 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
     // Any-wins: the first completion resolves the scan; a failure PLACEs
     // again once nothing is left racing. Join-all: resolve when the last
     // branch is terminal, completed only if every branch completed.
-    if (join_all ? !states.empty() : !ok) continue;
-    res.completed = join_all ? branches_ok : ok;
+    if (join_branches ? !states.empty() : !ok) continue;
+    res.completed = join_branches ? branches_ok : ok;
     if (res.completed) {
       res.facility = a.facility;
       res.flow_run_id = r.run_id;

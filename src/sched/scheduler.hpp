@@ -117,7 +117,6 @@ class FederatedScheduler {
   const std::map<std::string, std::size_t>& placements() const {
     return placements_;
   }
-  std::size_t scans_submitted() const { return submitted_; }
   std::size_t scans_completed() const { return completed_; }
   std::size_t scans_lost() const { return lost_; }
   std::size_t failovers() const { return failovers_; }
@@ -139,7 +138,6 @@ class FederatedScheduler {
   SchedulerConfig cfg_;
 
   std::map<std::string, std::size_t> placements_;  // facility -> launches
-  std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
   std::size_t lost_ = 0;
   std::size_t failovers_ = 0;

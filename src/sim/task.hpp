@@ -22,6 +22,7 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -197,66 +198,59 @@ class Event {
   std::shared_ptr<SharedState<T>> state_;
 };
 
-// Await a future with a timeout. Resumes with true if the future resolved,
-// false if the timeout fired first (the future keeps running either way).
+// Race any number of states against a timer. Resolves with the index of
+// the first state to become ready, or -1 if `window` elapses first (the
+// raced activities keep running either way; the caller owns them).
+//
+// A state already ready at entry wins without arming the timer. Otherwise
+// every state gets a one-shot callback; the `fired` guard makes the first
+// of them (or the timer) the only trigger, so two states resolving in one
+// event cascade cannot trip the resolved-twice assert. On a win the timer
+// is cancelled; either way the losers' callbacks are removed, so a state
+// resolving later resumes nothing. On a tie at the window tick, whichever
+// event the engine runs first wins.
+//
+// Wrapper over the coroutine impl (prvalue class-type arguments to
+// coroutines are miscompiled by GCC 12, see flow/engine.hpp); the engine
+// travels by pointer into the coroutine frame.
 template <typename T>
-struct TimeoutAwaiter {
-  Engine& eng;
-  std::shared_ptr<SharedState<T>> state;
-  Seconds timeout;
-
-  bool timed_out = false;
-  EventId timer = 0;
-  std::uint64_t token = 0;
-
-  bool await_ready() const { return state->ready(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    // Order matters: the timer is armed *before* the completion callback is
-    // registered, so the completion callback always sees a valid `timer`.
-    // (The old order registered a callback capturing `timer` while it was
-    // still 0; a callback firing before the assignment — e.g. a state
-    // resolved re-entrantly from another waiter's resumption — would have
-    // cancelled event id 0 and left the real timer live to touch a dead
-    // frame.) The reverse race is safe by construction: schedule_in never
-    // runs its handler inline, so by the time the timer can fire, `token`
-    // is assigned.
-    //
-    // Each path detaches the losing callback *before* h.resume(): resuming
-    // may run the coroutine to completion and destroy this frame (awaiter
-    // included), so nothing may touch `this` — or remain registered to
-    // fire later — after that point. On a future-resolves-at-timeout-tick
-    // tie, whichever event runs first wins and unhooks the loser.
-    timer = eng.schedule_in(timeout, [this, h] {
-      state->remove_callback(token);
-      timed_out = true;
-      h.resume();  // frame may be destroyed here; no member access after
-    });
-    token = state->add_callback([this, h] {
-      eng.cancel(timer);
-      h.resume();  // frame may be destroyed here; no member access after
+Future<int> first_ready_impl(Engine* eng,
+                             std::vector<std::shared_ptr<SharedState<T>>> states,
+                             Seconds window) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (states[i]->ready()) co_return int(i);
+  }
+  Event<int> ev;
+  auto fired = std::make_shared<bool>(false);
+  std::vector<std::uint64_t> tokens(states.size(), 0);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    tokens[i] = states[i]->add_callback([fired, ev, i] {
+      if (*fired) return;
+      *fired = true;
+      Event<int> e = ev;  // shared state; trigger resumes the racer
+      e.trigger(int(i));
     });
   }
-  bool await_resume() const { return !timed_out; }
-};
+  EventId timer = eng->schedule_in(window, [fired, ev] {
+    if (*fired) return;
+    *fired = true;
+    Event<int> e = ev;
+    e.trigger(-1);
+  });
+  int winner = co_await ev;
+  if (winner >= 0) eng->cancel(timer);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (int(i) == winner) continue;  // winner's callback was consumed
+    states[i]->remove_callback(tokens[i]);
+  }
+  co_return winner;
+}
 
 template <typename T>
-TimeoutAwaiter<T> with_timeout(Engine& eng, const Future<T>& fut, Seconds t) {
-  return TimeoutAwaiter<T>{eng, fut.state(), t};
-}
-template <typename T>
-TimeoutAwaiter<T> with_timeout(Engine& eng, const Event<T>& ev, Seconds t) {
-  return TimeoutAwaiter<T>{eng, ev.state(), t};
-}
-inline TimeoutAwaiter<Unit> with_timeout(Engine& eng, const Proc& p, Seconds t) {
-  return TimeoutAwaiter<Unit>{eng, p.state(), t};
-}
-
-// Await completion of every proc in the list (order irrelevant).
-// (Wrapper over the coroutine impl: prvalue class-type arguments to
-// coroutines are miscompiled by GCC 12 — see flow/engine.hpp.)
-Future<Unit> join_all_impl(std::vector<Proc> procs);
-inline Future<Unit> join_all(std::vector<Proc> procs) {
-  return join_all_impl(std::move(procs));
+Future<int> first_ready(Engine& eng,
+                        std::vector<std::shared_ptr<SharedState<T>>> states,
+                        Seconds window) {
+  return first_ready_impl(&eng, std::move(states), window);
 }
 
 }  // namespace alsflow::sim

@@ -21,6 +21,7 @@
 #include "chaos/chaos_engine.hpp"
 #include "chaos/scenario.hpp"
 #include "common/telemetry.hpp"
+#include "facility_rig.hpp"
 #include "monitor/flight_recorder.hpp"
 #include "monitor/health_monitor.hpp"
 #include "monitor/slo.hpp"
@@ -30,12 +31,8 @@
 namespace alsflow::monitor {
 namespace {
 
-using chaos::ChaosEngine;
 using chaos::FaultKind;
 using chaos::Scenario;
-using pipeline::Facility;
-using pipeline::FacilityConfig;
-using pipeline::ScanOptions;
 using pipeline::ScanOutcome;
 
 telemetry::MonitorEvent mk(double t, const char* component, const char* kind,
@@ -457,24 +454,6 @@ TEST(FlightRecorderUnit, SnapshotCarriesAlertAndMetricDeltas) {
 // Chaos -> alert matrix
 // ---------------------------------------------------------------------------
 
-data::ScanMetadata small_scan(std::size_t index) {
-  data::ScanMetadata m;
-  char id[32];
-  std::snprintf(id, sizeof id, "scan-%03zu", index);
-  m.scan_id = id;
-  m.sample_name = "monitor-sample";
-  m.proposal = "ALS-11532";
-  m.user = "visiting-user";
-  m.rows = 512;
-  m.cols = 2560;
-  m.n_angles = 500;
-  m.bit_depth = 16;
-  m.exposure_s = 0.05;
-  m.energy_kev = 25.0;
-  m.pixel_um = 0.65;
-  return m;
-}
-
 // SLO tuning for the cropped campaign rig: tighter objectives than the
 // production defaults (the rig's healthy queue waits and deliveries are
 // near-instant) and a slow window sized to the ~20 min campaign. The
@@ -500,26 +479,16 @@ constexpr Seconds kInterval = 120.0;
 
 // The golden chaos rig plus an installed HealthMonitor: default SLO set
 // (rig-tuned) and a run-database watermark probe.
-struct MonitorRig {
-  Facility fac;
-  ChaosEngine chaos;
+struct MonitorRig : rigs::FacilityRig {
   HealthMonitor mon;
 
   explicit MonitorRig(std::uint64_t seed = 42)
-      : fac(make_config(seed)), chaos(fac.engine()), mon(mon_config()) {
-    fac.bind_chaos(chaos);
+      : FacilityRig(seed), mon(mon_config()) {
     mon.add_default_slos(rig_slo_config());
     mon.add_watermark("run_db_task_records", "run_db", "orchestrate", [this] {
       return double(fac.run_db().task_records().size());
     });
     mon.install();
-  }
-
-  static FacilityConfig make_config(std::uint64_t seed) {
-    FacilityConfig cfg;
-    cfg.seed = seed;
-    cfg.background_utilization = 0.0;
-    return cfg;
   }
 
   static HealthMonitor::Config mon_config() {
@@ -528,25 +497,10 @@ struct MonitorRig {
     return cfg;
   }
 
+  // The rig's campaign, then one final SLO sweep at the end time.
   std::vector<ScanOutcome> run_scans(int n, Seconds interval) {
-    std::vector<sim::Future<ScanOutcome>> futs;
-    futs.reserve(std::size_t(n));
-    ScanOptions options;
-    options.streaming = false;
-    options.archive = false;
-    for (int i = 0; i < n; ++i) {
-      fac.engine().schedule_at(double(i) * interval,
-                               [this, &futs, i, options] {
-        futs.push_back(
-            fac.process_scan(small_scan(std::size_t(i)), options));
-      });
-    }
-    fac.engine().run();
+    std::vector<ScanOutcome> out = FacilityRig::run_scans(n, interval);
     mon.sweep(fac.engine().now());
-    std::vector<ScanOutcome> out;
-    for (auto& f : futs) {
-      if (f.done()) out.push_back(f.value());
-    }
     return out;
   }
 };

@@ -29,6 +29,7 @@
 
 #include "chaos/scenario.hpp"
 #include "common/units.hpp"
+#include "facility_rig.hpp"
 #include "flow/run_db.hpp"
 #include "hpc/cloud.hpp"
 #include "pipeline/facility.hpp"
@@ -133,7 +134,7 @@ TEST(GreedyPolicy, SickSiteLosesToHealthyButStillPlaceable) {
   GreedyPolicy policy;
   std::vector<FacilityState> snap = {make_state("nersc", 10, 60, 0, 8),
                                      make_state("alcf", 600, 600, 0, 6)};
-  snap[0].health = 0.1;  // below min_health: behind every healthy site
+  snap[0].health = 0.1;  // below kMinHealth: behind every healthy site
   EXPECT_EQ(policy.place(small_request(), snap).primary, "alcf");
 
   // When every site is sick the least-bad one is still used — refusing to
@@ -153,7 +154,7 @@ TEST(HedgedPolicy, HedgesOnlyDeadlineScans) {
   Placement with_deadline = policy.place(small_request(3600.0), snap);
   EXPECT_EQ(with_deadline.primary, "nersc");
   EXPECT_EQ(with_deadline.hedge, "alcf");
-  EXPECT_GE(with_deadline.hedge_delay, 120.0);  // min_hedge_delay floor
+  EXPECT_GE(with_deadline.hedge_delay, 120.0);  // kMinHedgeDelay floor
 }
 
 TEST(HedgedPolicy, NoHedgeWithoutAReachableRunnerUp) {
@@ -334,20 +335,26 @@ TEST(FederatedScheduler, JoinAllWaitsForEveryBranchWithoutFailover) {
 // Facility integration: a dynamic placement policy
 // ---------------------------------------------------------------------------
 
-data::ScanMetadata facility_scan(const std::string& id) {
-  data::ScanMetadata m;
-  m.scan_id = id;
-  m.sample_name = "sched-sample";
-  m.proposal = "ALS-11532";
-  m.user = "visiting-user";
-  m.rows = 512;
-  m.cols = 2560;
-  m.n_angles = 500;
-  m.bit_depth = 16;
-  m.exposure_s = 0.05;
-  m.energy_kev = 25.0;
-  m.pixel_um = 0.65;
-  return m;
+TEST(ScanRequest, MakeRequestKeepsTheFleetByteModel) {
+  // Every fleet shape: 16-bit frames, 3n/2 projections plus 20 reference
+  // frames, one nz x n x n float32 volume back.
+  for (std::size_t nz : {384u, 512u, 640u}) {
+    for (std::size_t n : {1024u, 1280u, 1536u}) {
+      data::ScanMetadata m;
+      m.scan_id = "bl-01-scan-0";
+      m.rows = nz;
+      m.cols = n;
+      m.n_angles = (3 * n) / 2;
+      m.bit_depth = 16;
+      const ScanRequest r = make_request(m, 3600.0);
+      EXPECT_EQ(r.scan_id, "bl-01-scan-0");
+      EXPECT_EQ(r.raw_bytes, Bytes((3 * n) / 2 + 20) * nz * n * 2);
+      EXPECT_EQ(r.recon_bytes, Bytes(nz) * n * n * 4);
+      EXPECT_EQ(r.nz, nz);
+      EXPECT_EQ(r.n, n);
+      EXPECT_EQ(r.deadline, 3600.0);
+    }
+  }
 }
 
 TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
@@ -363,7 +370,7 @@ TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
   for (int i = 0; i < 3; ++i) {
     fac.engine().schedule_at(double(i) * 180.0, [&fac, &futs, i, options] {
       futs.push_back(fac.process_scan(
-          facility_scan("sched-scan-" + std::to_string(i)), options));
+          rigs::small_scan("sched-scan-" + std::to_string(i)), options));
     });
   }
   fac.engine().run();
@@ -524,7 +531,7 @@ TEST(FleetMergedQueries, MatchUnshardedDatabaseExactly) {
       golden.mark_finished(id, flow::RunState::Completed, rec.finished_at);
     }
 
-    Summary merged = fleet.merged_duration_summary(flow_name, kAll);
+    Summary merged = flow::merged_duration_summary(fleet.run_dbs(), flow_name, kAll);
     Summary single = golden.duration_summary(flow_name, kAll);
     EXPECT_EQ(merged.n, single.n);
     EXPECT_DOUBLE_EQ(merged.mean, single.mean);
@@ -555,8 +562,8 @@ TEST(FleetMergedQueries, MatchUnshardedDatabaseExactly) {
       t.finished_at = finished_at;
       task_golden.record_task(std::move(t));
     }
-    auto merged_q =
-        fleet.merged_task_duration_quantiles(flow_name, "recon", kAll);
+    auto merged_q = flow::merged_task_duration_quantiles(
+        fleet.run_dbs(), flow_name, "recon", kAll);
     auto single_q = task_golden.task_duration_quantiles("", "recon", kAll);
     EXPECT_EQ(merged_q.n, single_q.n);
     EXPECT_DOUBLE_EQ(merged_q.p50, single_q.p50);

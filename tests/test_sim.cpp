@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -160,81 +161,131 @@ TEST(Coro, EventTrigger) {
   EXPECT_TRUE(ev.triggered());
 }
 
-Proc timeout_waiter(Engine& eng, Future<int> fut, Seconds timeout,
-                    bool& completed, double& at) {
-  completed = co_await with_timeout(eng, fut, timeout);
+using States = std::vector<std::shared_ptr<SharedState<int>>>;
+
+// Race `states` against `window`; records the winner, when the race
+// resolved, and how many times this waiter resumed.
+Proc racer(Engine& eng, States states, Seconds window, int& winner,
+           double& at, int& resumes) {
+  winner = co_await first_ready(eng, std::move(states), window);
   at = eng.now();
+  ++resumes;
 }
 
 TEST(Coro, TimeoutFiresWhenFutureSlow) {
   Engine eng;
-  bool completed = true;
+  int winner = 0, resumes = 0;
   double at = -1.0;
   auto fut = answer(eng);  // resolves at t=2
-  timeout_waiter(eng, fut, 1.0, completed, at).detach();
+  States states{fut.state()};
+  racer(eng, states, 1.0, winner, at, resumes).detach();
   eng.run();
-  EXPECT_FALSE(completed);
+  EXPECT_EQ(winner, -1);
   EXPECT_DOUBLE_EQ(at, 1.0);
 }
 
 TEST(Coro, TimeoutNotFiredWhenFutureFast) {
   Engine eng;
-  bool completed = false;
+  int winner = -1, resumes = 0;
   double at = -1.0;
   auto fut = answer(eng);  // resolves at t=2
-  timeout_waiter(eng, fut, 5.0, completed, at).detach();
+  States states{fut.state()};
+  racer(eng, states, 5.0, winner, at, resumes).detach();
   eng.run();
-  EXPECT_TRUE(completed);
+  EXPECT_EQ(winner, 0);
   EXPECT_DOUBLE_EQ(at, 2.0);
   // The cancelled timer must not linger.
   EXPECT_EQ(eng.pending_events(), 0u);
 }
 
-Proc event_timeout_waiter(Engine& eng, Event<int> ev, Seconds timeout,
-                          bool& completed, double& at) {
-  completed = co_await with_timeout(eng, ev, timeout);
-  at = eng.now();
-}
-
-// Regression tests for the future-resolves-at-the-timeout-tick tie. The
-// old await_suspend registered the completion callback *before* arming the
-// timer, so a completion firing in between cancelled event id 0 and left
-// the timer to resume a frame the completion had already resumed (and
-// destroyed). The fix arms the timer first and detaches the losing path
-// before resuming; whichever event was scheduled first wins the tick, and
-// the loser never touches the frame. Both orders must be crash-free and
-// deterministic (the ASan/TSan CI legs check the lifetime claim).
+// The state-resolves-at-the-window-tick tie: whichever event was
+// scheduled first wins the tick, and the loser never touches the racer.
+// Both orders must be crash-free and deterministic (the ASan/TSan CI legs
+// check the lifetime claim).
 TEST(Coro, TimeoutTieCompletionScheduledFirstWins) {
   Engine eng;
-  bool completed = false;
+  int winner = -1, resumes = 0;
   double at = -1.0;
   Event<int> ev;
-  // The producer's event enters the queue before the waiter arms its
+  // The producer's event enters the queue before the racer arms its
   // timer for the same tick, so the completion runs first.
   eng.schedule_at(3.0, [ev]() mutable { ev.trigger(9); });
-  event_timeout_waiter(eng, ev, 3.0, completed, at).detach();
+  States states{ev.state()};
+  racer(eng, states, 3.0, winner, at, resumes).detach();
   eng.run();
-  EXPECT_TRUE(completed);
+  EXPECT_EQ(winner, 0);
   EXPECT_DOUBLE_EQ(at, 3.0);
   EXPECT_EQ(eng.pending_events(), 0u);
 }
 
 TEST(Coro, TimeoutTieTimerArmedFirstWins) {
   Engine eng;
-  bool completed = true;
+  int winner = 0, resumes = 0;
   double at = -1.0;
   Event<int> ev;
-  // The waiter arms its timer first; the producer then schedules its
-  // trigger for the same tick. The timer wins, the frame is resumed (and
-  // destroyed) on the timeout path, and the late trigger must find no
-  // listener left to poke.
-  event_timeout_waiter(eng, ev, 3.0, completed, at).detach();
+  // The racer arms its timer first; the producer then schedules its
+  // trigger for the same tick. The timer wins, and the late trigger must
+  // find no listener left to poke.
+  States states{ev.state()};
+  racer(eng, states, 3.0, winner, at, resumes).detach();
   eng.schedule_at(3.0, [ev]() mutable { ev.trigger(9); });
   eng.run();
-  EXPECT_FALSE(completed);
+  EXPECT_EQ(winner, -1);
   EXPECT_DOUBLE_EQ(at, 3.0);
+  EXPECT_EQ(resumes, 1);
   EXPECT_TRUE(ev.triggered());
   EXPECT_EQ(eng.pending_events(), 0u);
+}
+
+TEST(Coro, FirstReadyOneWinnerWhenTwoResolveInOneCascade) {
+  Engine eng;
+  int winner = -1, resumes = 0;
+  double at = -1.0;
+  Event<int> a, b;
+  // Registered before the race, so it runs first when `a` resolves: `b`
+  // resolves inside `a`'s callback cascade, ahead of the racer's own
+  // callback on `a`. Only the first resolution may trigger the race.
+  a.state()->add_callback([b]() mutable { b.trigger(2); });
+  States states{a.state(), b.state()};
+  racer(eng, states, 10.0, winner, at, resumes).detach();
+  eng.schedule_at(2.0, [a]() mutable { a.trigger(1); });
+  eng.run();
+  EXPECT_EQ(winner, 1);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_DOUBLE_EQ(at, 2.0);
+  EXPECT_TRUE(a.triggered());
+  EXPECT_TRUE(b.triggered());
+  EXPECT_EQ(eng.pending_events(), 0u);
+}
+
+TEST(Coro, FirstReadyLoserResolvingLaterResumesNothing) {
+  Engine eng;
+  int winner = -1, resumes = 0;
+  double at = -1.0;
+  Event<int> a, b;
+  States states{a.state(), b.state()};
+  racer(eng, states, 10.0, winner, at, resumes).detach();
+  eng.schedule_at(1.0, [b]() mutable { b.trigger(2); });
+  eng.schedule_at(3.0, [a]() mutable { a.trigger(1); });
+  eng.run();
+  EXPECT_EQ(winner, 1);
+  EXPECT_DOUBLE_EQ(at, 1.0);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_TRUE(a.triggered());
+  EXPECT_DOUBLE_EQ(eng.now(), 3.0);
+}
+
+TEST(Coro, FirstReadyAlreadyReadyArmsNoTimer) {
+  Engine eng;
+  Event<int> pending, ready;
+  ready.trigger(5);
+  eng.schedule_at(4.0, [] {});
+  const std::size_t before = eng.pending_events();
+  States states{pending.state(), ready.state()};
+  Future<int> race = first_ready(eng, states, 10.0);
+  ASSERT_TRUE(race.done());
+  EXPECT_EQ(race.value(), 1);
+  EXPECT_EQ(eng.pending_events(), before);
 }
 
 Proc hold_sem(Engine& eng, Semaphore& sem, Seconds hold,
@@ -321,25 +372,6 @@ TEST(Queue, TryPop) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 9);
   EXPECT_TRUE(q.empty());
-}
-
-Proc joiner(std::vector<Proc> procs, double& at, Engine& eng) {
-  co_await join_all(std::move(procs));
-  at = eng.now();
-}
-
-Proc sleeper(Engine& eng, Seconds t) { co_await delay(eng, t); }
-
-TEST(Coro, JoinAllWaitsForSlowest) {
-  Engine eng;
-  std::vector<Proc> procs;
-  procs.push_back(sleeper(eng, 3.0));
-  procs.push_back(sleeper(eng, 9.0));
-  procs.push_back(sleeper(eng, 1.0));
-  double at = -1.0;
-  joiner(std::move(procs), at, eng).detach();
-  eng.run();
-  EXPECT_DOUBLE_EQ(at, 9.0);
 }
 
 }  // namespace
