@@ -25,6 +25,14 @@ int qos_priority(Qos q) {
   return 0;
 }
 
+namespace {
+
+// QOS classes from highest to lowest qos_priority(): the order
+// try_schedule reads the per-class FIFOs in.
+constexpr Qos kByPriority[] = {Qos::Realtime, Qos::Debug, Qos::Regular};
+
+}  // namespace
+
 const char* job_state_name(JobState s) {
   switch (s) {
     case JobState::Pending: return "PENDING";
@@ -48,27 +56,37 @@ JobId SlurmCluster::submit(JobSpec spec) {
   rec.info.id = id;
   rec.info.spec = std::move(spec);
   rec.info.submitted_at = eng_.now();
+  const Qos qos = rec.info.spec.qos;
   jobs_.emplace(id, std::move(rec));
-  pending_.push_back(id);
+  pending_[std::size_t(qos)].push_back(id);
   // Scheduling runs as a separate event so a submit inside another job's
   // callback observes consistent state.
   eng_.schedule_in(0.0, [this] { try_schedule(); });
   return id;
 }
 
+std::size_t SlurmCluster::pending_jobs() const {
+  std::size_t n = 0;
+  for (const auto& q : pending_) n += q.size();
+  return n;
+}
+
 void SlurmCluster::try_schedule() {
-  // Highest QOS priority first, FIFO within a priority class.
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [this](JobId a, JobId b) {
-                     return qos_priority(jobs_.at(a).info.spec.qos) >
-                            qos_priority(jobs_.at(b).info.spec.qos);
-                   });
-  // FCFS without backfill: stop at the first job that does not fit, so a
-  // wide high-priority job is never starved by narrow later arrivals.
-  while (!pending_.empty()) {
-    JobRecord& rec = jobs_.at(pending_.front());
+  // Highest QOS priority first, FIFO within a priority class. FCFS without
+  // backfill: stop at the first job that does not fit, so a wide
+  // high-priority job is never starved by narrow later arrivals.
+  for (;;) {
+    std::deque<JobId>* queue = nullptr;
+    for (Qos q : kByPriority) {
+      if (!pending_[std::size_t(q)].empty()) {
+        queue = &pending_[std::size_t(q)];
+        break;
+      }
+    }
+    if (queue == nullptr) break;
+    JobRecord& rec = jobs_.at(queue->front());
     if (busy_nodes_ + rec.info.spec.nodes > n_nodes_) break;
-    pending_.pop_front();
+    queue->pop_front();
 
     busy_nodes_ += rec.info.spec.nodes;
     rec.info.state = JobState::Running;
@@ -116,8 +134,9 @@ Status SlurmCluster::cancel(JobId id) {
   JobRecord& rec = it->second;
   switch (rec.info.state) {
     case JobState::Pending: {
-      auto p = std::find(pending_.begin(), pending_.end(), id);
-      if (p != pending_.end()) pending_.erase(p);
+      auto& queue = pending_[std::size_t(rec.info.spec.qos)];
+      auto p = std::find(queue.begin(), queue.end(), id);
+      if (p != queue.end()) queue.erase(p);
       rec.info.state = JobState::Cancelled;
       rec.info.finished_at = eng_.now();
       rec.done.trigger();

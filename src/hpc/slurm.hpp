@@ -6,8 +6,15 @@
 // instead of queueing behind the general workload. Jobs carry a modeled
 // execution duration (from hpc::ComputeModel) and a walltime limit;
 // exceeding the limit ends the job in TimedOut, as on the real machine.
+//
+// Pending jobs wait in one FIFO per QOS class. A submit appends to its
+// class, and the scheduler looks only at the head of the highest non-empty
+// class, so queueing costs O(1) per job however long the background
+// backlog grows.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -63,7 +70,7 @@ class SlurmCluster {
   const std::string& name() const { return name_; }
   int total_nodes() const { return n_nodes_; }
   int busy_nodes() const { return busy_nodes_; }
-  std::size_t pending_jobs() const { return pending_.size(); }
+  std::size_t pending_jobs() const;
 
   JobId submit(JobSpec spec);
 
@@ -93,7 +100,8 @@ class SlurmCluster {
   int busy_nodes_ = 0;
   JobId next_id_ = 1;
   std::map<JobId, JobRecord> jobs_;
-  std::deque<JobId> pending_;
+  // Pending FIFOs, indexed by Qos.
+  std::array<std::deque<JobId>, 3> pending_;
 };
 
 }  // namespace alsflow::hpc

@@ -6,15 +6,29 @@
 // on every arrival and departure — the standard fluid model for TCP-fair
 // bulk flows, matching how concurrent Globus transfers behave on a shared
 // path.
+//
+// Cost is O(log n) per event, by the virtual-time construction of GPS/WFQ
+// (Parekh & Gallager '93; Demers, Keshav & Shenker '89). Under fair sharing
+// every active transfer has received the same number of bytes since the
+// link last went idle; that count is the link's virtual clock. A transfer
+// arriving at virtual time v with b bytes finishes when the clock reaches
+// its tag v + b, whatever arrives or leaves meanwhile, so the next
+// completion is the smallest tag in a min-heap and advancing time is one
+// addition, not a walk over every transfer.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+
+namespace alsflow::telemetry {
+class Counter;
+class Gauge;
+}  // namespace alsflow::telemetry
 
 namespace alsflow::net {
 
@@ -57,18 +71,23 @@ class Link {
 
  private:
   struct Transfer {
-    double remaining;  // bytes still to move
+    double tag = 0.0;         // finish tag: vtime_ at arrival + bytes
+    std::uint64_t seq = 0;    // arrival order; breaks tag ties
     double bytes = 0.0;       // original payload size
     Seconds started = 0.0;    // when the send entered the link
     sim::Event<sim::Unit> done;
   };
+  // Heap order for active_: the smallest (tag, seq) on top.
+  static bool finishes_later(const Transfer& a, const Transfer& b);
 
-  // Advance all active transfers to now and reschedule the next completion.
+  // Advance the virtual clock to now.
   void update_progress();
   void reschedule();
   void on_completion_event();
   // Refresh the per-link telemetry gauges (no-op when telemetry is off).
   void record_metrics();
+  // Look up this link's instruments once; the registry keeps them valid.
+  void bind_instruments();
 
   sim::Engine& eng_;
   std::string name_;
@@ -76,7 +95,13 @@ class Link {
   Seconds latency_;
   double factor_ = 1.0;          // chaos bandwidth scale; 0 = blackout
   Seconds extra_latency_ = 0.0;  // chaos recall-latency spike
-  std::list<Transfer> active_;
+  std::vector<Transfer> active_;  // min-heap by (tag, seq)
+  std::vector<Transfer> drained_;  // on_completion_event's scratch
+  double vtime_ = 0.0;  // bytes each active transfer has received; 0 when idle
+  std::uint64_t next_seq_ = 0;
+  telemetry::Counter* bytes_total_ = nullptr;
+  telemetry::Gauge* active_gauge_ = nullptr;
+  telemetry::Gauge* throughput_gauge_ = nullptr;
   Seconds last_update_ = 0.0;
   sim::EventId pending_event_ = 0;
   Bytes total_bytes_ = 0;

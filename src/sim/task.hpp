@@ -24,6 +24,8 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -36,6 +38,11 @@ namespace alsflow::sim {
 
 struct Unit {};
 
+[[noreturn]] inline void future_resolved_twice() {
+  std::fprintf(stderr, "alsflow: sim future resolved twice\n");
+  std::abort();
+}
+
 template <typename T>
 class SharedState {
  public:
@@ -47,8 +54,13 @@ class SharedState {
   }
 
   void set_value(T v) {
-    assert(!ready() && "future resolved twice");
+    // Checked in every build type: a second resolution would silently
+    // overwrite the value the first waiters already saw. The abort comes
+    // after the store, before any waiter runs; testing first trips a false
+    // -Wmaybe-uninitialized in GCC 12 on Result<T> moves at -O2.
+    const bool twice = ready();
     value_.emplace(std::move(v));
+    if (twice) future_resolved_twice();
     // Take the callback list first: a resumed waiter may register new
     // callbacks on other states or re-enter this one via ready().
     std::vector<std::pair<std::uint64_t, std::function<void()>>> cbs;
@@ -61,6 +73,9 @@ class SharedState {
     callbacks_.emplace_back(token, std::move(fn));
     return token;
   }
+
+  // Callbacks registered and not yet run or removed.
+  std::size_t callback_count() const { return callbacks_.size(); }
 
   void remove_callback(std::uint64_t token) {
     for (auto it = callbacks_.begin(); it != callbacks_.end(); ++it) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "hpc/adapter.hpp"
@@ -117,6 +119,64 @@ TEST(Slurm, NodeAccountingNeverOversubscribes) {
   for (const auto& job : cluster.all_jobs()) {
     EXPECT_EQ(job.state, JobState::Completed);
   }
+}
+
+TEST(Slurm, StartOrderIsQosThenFifoWithoutBackfill) {
+  Engine eng;
+  SlurmCluster cluster(eng, "c", 4);
+  std::vector<std::string> started;
+  auto job = [&](const char* name, Qos qos, int nodes, Seconds duration) {
+    JobSpec spec;
+    spec.name = name;
+    spec.qos = qos;
+    spec.nodes = nodes;
+    spec.duration = duration;
+    spec.on_start = [&started, name] { started.push_back(name); };
+    return cluster.submit(spec);
+  };
+  job("filler", Qos::Regular, 4, 100.0);
+  eng.run_until(1.0);  // the filler owns every node until t=100
+
+  // Interleaved classes; W is a whole-cluster realtime job behind T1.
+  job("R1", Qos::Regular, 1, 10.0);
+  job("D1", Qos::Debug, 1, 10.0);
+  job("T1", Qos::Realtime, 1, 10.0);
+  job("W", Qos::Realtime, 4, 10.0);
+  const JobId r2 = job("R2", Qos::Regular, 1, 10.0);
+  const JobId d2 = job("D2", Qos::Debug, 1, 10.0);
+  const JobId t2 = job("T2", Qos::Realtime, 1, 10.0);
+  job("R3", Qos::Regular, 1, 10.0);
+  job("D3", Qos::Debug, 1, 10.0);
+  job("T3", Qos::Realtime, 1, 10.0);
+  eng.run_until(2.0);
+  EXPECT_EQ(cluster.pending_jobs(), 10u);
+  for (JobId id : {r2, d2, t2}) EXPECT_TRUE(cluster.cancel(id).ok());
+  EXPECT_EQ(cluster.pending_jobs(), 7u);
+
+  // T1 runs from t=100; W does not fit beside it, and nothing narrower
+  // is backfilled past W while three nodes sit idle.
+  eng.run_until(105.0);
+  EXPECT_EQ(cluster.busy_nodes(), 1);
+  EXPECT_EQ(cluster.pending_jobs(), 6u);
+
+  eng.run();
+  EXPECT_EQ(started, (std::vector<std::string>{"filler", "T1", "W", "T3",
+                                                "D1", "D3", "R1", "R3"}));
+  std::map<std::string, Seconds> start_at;
+  for (const auto& info : cluster.all_jobs()) {
+    start_at[info.spec.name] = info.started_at;
+  }
+  EXPECT_DOUBLE_EQ(start_at["T1"], 100.0);
+  EXPECT_DOUBLE_EQ(start_at["W"], 110.0);
+  for (const char* name : {"T3", "D1", "D3", "R1"}) {
+    EXPECT_DOUBLE_EQ(start_at[name], 120.0) << name;
+  }
+  EXPECT_DOUBLE_EQ(start_at["R3"], 130.0);
+  for (JobId id : {r2, d2, t2}) {
+    EXPECT_EQ(cluster.info(id).value().state, JobState::Cancelled);
+    EXPECT_LT(cluster.info(id).value().started_at, 0.0);
+  }
+  EXPECT_EQ(cluster.pending_jobs(), 0u);
 }
 
 TEST(Slurm, OnStartOnFinishCallbacks) {

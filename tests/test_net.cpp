@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/units.hpp"
 #include "net/link.hpp"
 #include "net/pubsub.hpp"
 
@@ -105,6 +110,231 @@ TEST(Link, TracksTotalsAndThroughput) {
   EXPECT_EQ(link.total_bytes_sent(), 1000u);
   EXPECT_NEAR(link.mean_throughput(), 100.0, 1e-6);
   EXPECT_EQ(link.active_transfers(), 0u);
+}
+
+// --- Equivalence with the O(n) processor-sharing model -------------------
+//
+// RefLink is the per-transfer formulation Link replaced: every active
+// transfer's remaining byte count is decremented at rate/n on each event,
+// and completions are found by walking the list in arrival order. Link
+// must complete the same transfers in the same order at the same times.
+class RefLink {
+ public:
+  RefLink(Engine& eng, double bandwidth, Seconds latency)
+      : eng_(eng), bandwidth_(bandwidth), latency_(latency) {}
+
+  sim::Future<sim::Unit> send(Bytes bytes) {
+    update_progress();
+    sim::Event<sim::Unit> done;
+    const Seconds deliver = latency_ + extra_latency_;
+    if (bytes == 0) {
+      eng_.schedule_in(deliver, [done]() mutable { done.trigger(); });
+    } else {
+      active_.push_back({double(bytes), done});
+      reschedule();
+    }
+    return [](sim::Event<sim::Unit> ev) -> sim::Future<sim::Unit> {
+      co_await ev;
+      co_return sim::Unit{};
+    }(done);
+  }
+
+  void set_bandwidth_factor(double f) {
+    update_progress();
+    factor_ = f < 0.0 ? 0.0 : f;
+    reschedule();
+  }
+
+  void set_extra_latency(Seconds s) { extra_latency_ = s < 0.0 ? 0.0 : s; }
+
+ private:
+  struct Transfer {
+    double remaining;
+    sim::Event<sim::Unit> done;
+  };
+
+  double rate_each() const {
+    return bandwidth_ * factor_ / double(active_.size());
+  }
+
+  void update_progress() {
+    const Seconds dt = eng_.now() - last_update_;
+    last_update_ = eng_.now();
+    if (active_.empty() || dt <= 0.0 || rate_each() <= 0.0) return;
+    const double moved = rate_each() * dt;
+    for (auto& t : active_) t.remaining = std::max(0.0, t.remaining - moved);
+  }
+
+  void reschedule() {
+    if (pending_ != 0) eng_.cancel(pending_);
+    pending_ = 0;
+    if (active_.empty() || rate_each() <= 0.0) return;
+    double min_remaining = active_.front().remaining;
+    for (const auto& t : active_) {
+      min_remaining = std::min(min_remaining, t.remaining);
+    }
+    pending_ = eng_.schedule_in(min_remaining / rate_each(), [this] {
+      pending_ = 0;
+      on_completion();
+    });
+  }
+
+  void on_completion() {
+    update_progress();
+    for (auto it = active_.begin(); it != active_.end();) {
+      if (it->remaining > 0.5) {
+        ++it;
+        continue;
+      }
+      auto done = it->done;
+      it = active_.erase(it);
+      const Seconds deliver = latency_ + extra_latency_;
+      if (deliver > 0.0) {
+        eng_.schedule_in(deliver, [done]() mutable { done.trigger(); });
+      } else {
+        done.trigger();
+      }
+    }
+    reschedule();
+  }
+
+  Engine& eng_;
+  double bandwidth_;
+  Seconds latency_;
+  double factor_ = 1.0;
+  Seconds extra_latency_ = 0.0;
+  std::list<Transfer> active_;
+  Seconds last_update_ = 0.0;
+  sim::EventId pending_ = 0;
+};
+
+struct Step {
+  enum Kind { Send, Factor, ExtraLatency } kind;
+  Seconds at;
+  double value;  // bytes, bandwidth factor, or extra latency
+};
+
+struct Completion {
+  int id;
+  double at;
+};
+
+template <typename L>
+Proc timed_send(Engine& eng, L& link, int id, Bytes bytes,
+                std::vector<Completion>& out) {
+  co_await link.send(bytes);
+  out.push_back({id, eng.now()});
+}
+
+template <typename L>
+std::vector<Completion> drive(const std::vector<Step>& script,
+                              double bandwidth, Seconds latency) {
+  Engine eng;
+  L link(eng, bandwidth, latency);
+  std::vector<Completion> out;
+  int next_id = 0;
+  for (const Step& s : script) {
+    const int id = s.kind == Step::Send ? next_id++ : -1;
+    eng.schedule_at(s.at, [&eng, &link, &out, s, id] {
+      switch (s.kind) {
+        case Step::Send:
+          timed_send(eng, link, id, Bytes(s.value), out).detach();
+          break;
+        case Step::Factor:
+          link.set_bandwidth_factor(s.value);
+          break;
+        case Step::ExtraLatency:
+          link.set_extra_latency(s.value);
+          break;
+      }
+    });
+  }
+  eng.run();
+  return out;
+}
+
+// Adapts Link to drive()'s (engine, bandwidth, latency) constructor.
+struct FairLink : Link {
+  FairLink(Engine& eng, double bandwidth, Seconds latency)
+      : Link(eng, "wan", bandwidth, latency) {}
+};
+
+void expect_same_completions(const std::vector<Step>& script,
+                             double bandwidth, Seconds latency) {
+  const auto ref = drive<RefLink>(script, bandwidth, latency);
+  const auto got = drive<FairLink>(script, bandwidth, latency);
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(got[i].id, ref[i].id) << "completion " << i;
+    EXPECT_NEAR(got[i].at, ref[i].at, 1e-9 * std::max(1.0, ref[i].at))
+        << "transfer " << ref[i].id;
+  }
+}
+
+// A seeded script over a 10 Gbps path: sends of 0 B to 20 GB, a third of
+// them at the same instant as the step before; degradations, blackouts
+// and their restores; recall-latency spikes.
+std::vector<Step> random_script(std::uint64_t seed, int steps) {
+  Rng rng(seed);
+  std::vector<Step> script;
+  Seconds t = 0.0;
+  for (int i = 0; i < steps; ++i) {
+    if (!rng.bernoulli(0.3)) t += rng.exponential(5.0);
+    const double u = rng.uniform();
+    if (u < 0.8) {
+      const double bytes =
+          rng.bernoulli(0.1) ? 0.0 : double(rng.uniform_int(1, 20'000'000'000));
+      script.push_back({Step::Send, t, bytes});
+    } else if (u < 0.9) {
+      static constexpr double kFactors[] = {0.0, 0.1, 0.25, 0.5, 1.0};
+      script.push_back({Step::Factor, t, kFactors[rng.uniform_int(0, 4)]});
+    } else {
+      const double spike = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.0, 30.0);
+      script.push_back({Step::ExtraLatency, t, spike});
+    }
+  }
+  script.push_back({Step::Factor, t + 1.0, 1.0});  // end every blackout
+  return script;
+}
+
+TEST(LinkEquivalence, MatchesPerTransferModelOnRandomScripts) {
+  for (std::uint64_t seed : {1u, 7u, 42u, 2026u, 99991u}) {
+    SCOPED_TRACE(seed);
+    const auto script = random_script(seed, 600);
+    expect_same_completions(script, gbps(10.0), 0.03);
+  }
+}
+
+TEST(LinkEquivalence, SameInstantDrainDeliversInArrivalOrder) {
+  // 100 B/s, no latency. A (1001 B) runs alone for 5 ms, so B and C (1000 B
+  // each, arriving together) get a smaller finish tag than A. All three
+  // drain in one event at t = 30.005 s (A within the sub-byte tolerance)
+  // and must deliver A, B, C.
+  const std::vector<Step> script = {{Step::Send, 0.0, 1001.0},
+                                    {Step::Send, 0.005, 1000.0},
+                                    {Step::Send, 0.005, 1000.0}};
+  const auto got = drive<FairLink>(script, 100.0, 0.0);
+  ASSERT_EQ(got.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(got[i].id, i);
+    EXPECT_NEAR(got[i].at, 30.005, 1e-9);
+  }
+  expect_same_completions(script, 100.0, 0.0);
+}
+
+TEST(LinkEquivalence, BlackoutFreezesProgress) {
+  // 1000 B at 100 B/s; dark from t=4 to t=10, so it lands at 16 s.
+  const std::vector<Step> script = {{Step::Send, 0.0, 1000.0},
+                                    {Step::Factor, 4.0, 0.0},
+                                    {Step::Send, 5.0, 0.0},
+                                    {Step::Factor, 10.0, 1.0}};
+  const auto got = drive<FairLink>(script, 100.0, 0.0);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].id, 1);  // the control message is not stalled
+  EXPECT_NEAR(got[0].at, 5.0, 1e-9);
+  EXPECT_EQ(got[1].id, 0);
+  EXPECT_NEAR(got[1].at, 16.0, 1e-9);
+  expect_same_completions(script, 100.0, 0.0);
 }
 
 TEST(Channel, DeliversToAllSubscribers) {

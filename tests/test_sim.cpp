@@ -288,6 +288,37 @@ TEST(Coro, FirstReadyAlreadyReadyArmsNoTimer) {
   EXPECT_EQ(eng.pending_events(), before);
 }
 
+TEST(Coro, FirstReadyRemovesLosersCallbacks) {
+  Engine eng;
+  int winner = -1, resumes = 0;
+  double at = -1.0;
+  Event<int> a, b, c;
+  States states{a.state(), b.state(), c.state()};
+  racer(eng, states, 10.0, winner, at, resumes).detach();
+  EXPECT_EQ(a.state()->callback_count(), 1u);
+  eng.schedule_at(1.0, [b]() mutable { b.trigger(2); });
+  eng.run_until(2.0);
+  EXPECT_EQ(winner, 1);
+  // The winner's callback ran; the losers' were removed, so a later
+  // resolution of `a` or `c` resumes nothing.
+  EXPECT_EQ(a.state()->callback_count(), 0u);
+  EXPECT_EQ(b.state()->callback_count(), 0u);
+  EXPECT_EQ(c.state()->callback_count(), 0u);
+
+  // A window that elapses removes every state's callback.
+  Event<int> d;
+  racer(eng, States{d.state()}, 1.0, winner, at, resumes).detach();
+  eng.run();
+  EXPECT_EQ(winner, -1);
+  EXPECT_EQ(d.state()->callback_count(), 0u);
+}
+
+TEST(CoroDeathTest, ResolvingTwiceAborts) {
+  Event<int> ev;
+  ev.trigger(1);
+  EXPECT_DEATH(ev.trigger(2), "resolved twice");
+}
+
 Proc hold_sem(Engine& eng, Semaphore& sem, Seconds hold,
               std::vector<double>& acquired_at) {
   co_await sem.acquire();
