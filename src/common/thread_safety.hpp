@@ -11,7 +11,7 @@
 //
 // Usage contract for alsflow code:
 //  * declare locks as alsflow::Mutex, never raw std::mutex (enforced by
-//    tools/alsflow_lint.py outside this file);
+//    the det rule family, tools/alsflow_detcheck.py, outside this file);
 //  * annotate every shared field with ALSFLOW_GUARDED_BY(mu_);
 //  * private helpers that expect the caller to hold the lock are named
 //    *_locked() and annotated ALSFLOW_REQUIRES(mu_);

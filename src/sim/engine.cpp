@@ -8,7 +8,7 @@ namespace alsflow::sim {
 EventId Engine::schedule_at(Seconds t, std::function<void()> fn) {
   t = std::max(t, now_);
   EventId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id});
+  queue_.push(Entry{t, id});
   handlers_.emplace(id, std::move(fn));
   return id;
 }

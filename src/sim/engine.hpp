@@ -6,8 +6,9 @@
 // one Engine, making every experiment deterministic and allowing a full
 // production day to simulate in milliseconds.
 //
-// Events scheduled for the same timestamp run in insertion order (stable),
-// which keeps causality intuitive: "schedule A then B at t" runs A first.
+// Events scheduled for the same timestamp run in insertion order (stable):
+// ids are handed out in increasing order and break time ties, which keeps
+// causality intuitive: "schedule A then B at t" runs A first.
 #pragma once
 
 #include <cstdint>
@@ -55,16 +56,14 @@ class Engine {
  private:
   struct Entry {
     Seconds time;
-    std::uint64_t seq;
     EventId id;
     bool operator>(const Entry& o) const {
       if (time != o.time) return time > o.time;
-      return seq > o.seq;
+      return id > o.id;
     }
   };
 
   Seconds now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;

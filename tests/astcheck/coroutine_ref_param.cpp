@@ -31,7 +31,7 @@ struct RefParam {
   int good_plain_ref(const std::string& name) { return int(name.size()); }
 
   // GOOD: a documented caller-outlives contract, exempted inline — the
-  // suppression requires a reason, mirroring lint:allow.
+  // suppression requires a reason.
   Future<int> good_suppressed(
       const std::string& name) {  // astcheck:allow coroutine-ref-param caller outlives the coroutine by contract
     co_await delay(1.0);

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/checksum.hpp"
-#include "common/id.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -200,15 +199,6 @@ TEST(Status, SuccessAndFailure) {
   Status bad(Error::make("permission_denied"));
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code, "permission_denied");
-}
-
-TEST(IdGenerator, MonotonicUnique) {
-  IdGenerator gen("flowrun");
-  auto a = gen.next();
-  auto b = gen.next();
-  EXPECT_EQ(a, "flowrun-000001");
-  EXPECT_EQ(b, "flowrun-000002");
-  EXPECT_NE(a, b);
 }
 
 }  // namespace

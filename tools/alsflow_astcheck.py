@@ -106,9 +106,10 @@ MACRO_NAME = re.compile(r"^[A-Z][A-Z0-9_]*$")
 # ---------------------------------------------------------------------------
 
 
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literal *contents*, preserving
-    line structure (so token line numbers match the raw file)."""
+def strip_comments(text, keep_strings=False):
+    """Blank out comments and, unless keep_strings, string/char literal
+    *contents*, preserving line structure (so line numbers match the raw
+    file)."""
     out = []
     i, n = 0, len(text)
     state = "code"
@@ -144,14 +145,14 @@ def strip_comments_and_strings(text):
             out.append(c if c == "\n" else " ")
         elif state in ("str", "chr"):
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if (state == "str" and c == '"') or (state == "chr" and c == "'"):
                 state = "code"
                 out.append(c)
             else:
-                out.append(c if c == "\n" else " ")
+                out.append(c if c == "\n" or keep_strings else " ")
         i += 1
     return "".join(out)
 
@@ -187,7 +188,7 @@ class Tok:
 
 
 def tokenize(text):
-    code = blank_preprocessor(strip_comments_and_strings(text))
+    code = blank_preprocessor(strip_comments(text))
     toks = []
     for line_no, line in enumerate(code.split("\n"), start=1):
         for m in TOKEN_RE.finditer(line):
@@ -690,7 +691,8 @@ class Family(NamedTuple):
     rules: tuple        # the rule ids it reports
     expect: re.Pattern  # corpus marker: // <name>check:expect <rule>[,...]
     analyze: object     # analyze(files, units, root) -> [Finding]
-    frontend: type      # libclang frontend: frontend(root).units(path, text)
+    frontend: type      # libclang frontend: frontend(root).units(path, text),
+                        # or None for a family that only matches text
     bad: dict           # rule -> snippets on which that rule must fire
     good: list          # snippets on which no rule may fire
     snippet_wrap: tuple = ("", "")  # (prelude, epilogue) around a snippet

@@ -8,6 +8,9 @@ Each rule family lives in its own module and exports a `FAMILY` record
   lock  tools/alsflow_lockcheck.py  lock order, callbacks/emission under
                                     locks, unranked mutexes (DESIGN.md §15)
   hot   tools/alsflow_hotcheck.py   hot-path purity (DESIGN.md §16)
+  det   tools/alsflow_detcheck.py   determinism, raw mutexes, stdout logging,
+                                    #pragma once, event vocabulary, vector
+                                    captures (DESIGN.md §11)
 
 Modes:
   (default)     scan src/**/*.{hpp,cpp} under --root
@@ -17,10 +20,11 @@ Modes:
   --selftest    each family's rules against its embedded bad and good
                 snippets, plus a throwaway corpus that must fail
 
---rules ast,lock,hot selects families (default: all). --engine token (the
-default) uses the dependency-free tokenizer and scope parser; libclang takes
-function boundaries from clang.cindex, falling back to tokens for any file
-it cannot parse; auto is libclang when it loads and tokens otherwise.
+--rules ast,lock,hot,det selects families (default: all). --engine token
+(the default) uses the dependency-free tokenizer and scope parser; libclang
+takes function boundaries from clang.cindex, falling back to tokens for any
+file it cannot parse; auto is libclang when it loads and tokens otherwise.
+det matches text and has no libclang frontend: every engine runs it alike.
 --format text|json|github (GitHub Actions annotations) applies to scans.
 
 Exit status: 0 clean, 1 findings or a corpus/selftest mismatch, 2 usage
@@ -37,12 +41,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import alsflow_astcheck  # noqa: E402
+import alsflow_detcheck  # noqa: E402
 import alsflow_hotcheck  # noqa: E402
 import alsflow_lockcheck  # noqa: E402
 
 FAMILIES = {fam.name: fam for fam in (alsflow_astcheck.FAMILY,
                                       alsflow_lockcheck.FAMILY,
-                                      alsflow_hotcheck.FAMILY)}
+                                      alsflow_hotcheck.FAMILY,
+                                      alsflow_detcheck.FAMILY)}
 PROG = "alsflow_check"
 
 
@@ -70,8 +76,9 @@ def read_sources(base, top):
 
 
 def make_frontend(fam, engine, root):
-    """The family's libclang frontend, or None for the token engine."""
-    if engine == "token":
+    """The family's libclang frontend, or None for the token engine and for
+    a family without one."""
+    if engine == "token" or fam.frontend is None:
         return None
     try:
         return fam.frontend(root)
